@@ -3,7 +3,7 @@
 //! is what forces approximate indexes; this harness measures how fast
 //! the *exact* scan actually is).
 //!
-//! Four comparisons, swept over `dim ∈ {64, 128, 512}`:
+//! Two comparisons, swept over `dim ∈ {64, 128, 512}`:
 //!
 //! 1. **scalar vs kernel** — the historical per-row scalar `dot` with
 //!    sorted-buffer `Vec::insert` selection, against the blocked
@@ -17,11 +17,6 @@
 //!    scores exactly (per precision). The quantized rows time the full
 //!    code-scan + re-rank pipeline; the `pq` row is the evidence that
 //!    the ADC scan beats the SQ8 byte scan at equal recall machinery.
-//! 3. **single vs batched** — `Q ∈ {1, 4, 16}` queries answered by `Q`
-//!    sequential scans vs one [`VectorStore::top_k_many`] batch
-//!    (one pass over memory). Reported as queries/sec.
-//! 4. A bitwise self-check that the batched results equal the
-//!    sequential ones (the `top_k_many` contract).
 //!
 //! Results are written to `BENCH_scan.json` at the repo root (override
 //! with `SEESAW_BENCH_OUT`) — CI runs this harness in release mode,
@@ -53,7 +48,6 @@ use seesaw_linalg::{
 use seesaw_vecstore::{ExactStore, Hit, RowPrecision, VectorStore};
 
 const DIMS: [usize; 3] = [64, 128, 512];
-const QUERY_COUNTS: [usize; 3] = [1, 4, 16];
 const K: usize = 10;
 /// The dim whose scalar-vs-kernel ratio gates CI (the largest: most
 /// memory-bound, least noise-sensitive).
@@ -95,8 +89,8 @@ fn scalar_top_k(dim: usize, data: &[f32], query: &[f32], k: usize) -> Vec<Hit> {
 }
 
 /// Best-of-three seconds-per-call, each sample sized from a pilot run
-/// to take ~80 ms (minimum throughput noise without criterion's
-/// machinery; min-of-samples discards scheduler hiccups).
+/// to take ~80 ms (minimum throughput noise without a statistics
+/// harness; min-of-samples discards scheduler hiccups).
 fn time_per_call<T>(mut f: impl FnMut() -> T) -> f64 {
     let pilot_start = Instant::now();
     black_box(f());
@@ -113,12 +107,6 @@ fn time_per_call<T>(mut f: impl FnMut() -> T) -> f64 {
     best
 }
 
-struct BatchedResult {
-    queries: usize,
-    sequential_qps: f64,
-    batched_qps: f64,
-}
-
 struct MatrixResult {
     tier: &'static str,
     precision: &'static str,
@@ -130,15 +118,14 @@ struct DimResult {
     scalar_rows_per_sec: f64,
     kernel_rows_per_sec: f64,
     matrix: Vec<MatrixResult>,
-    batched: Vec<BatchedResult>,
 }
 
 fn main() {
     let rows = env_usize("SEESAW_SCAN_ROWS", 8192);
     let strict = env_usize("SEESAW_SCAN_STRICT", 1) != 0;
     // Resolve the dispatch tier once (honours SEESAW_SIMD) — the
-    // scalar-vs-kernel and batched sections run on it; the matrix
-    // section pins each tier explicitly and restores it afterwards.
+    // scalar-vs-kernel section runs on it; the matrix section pins
+    // each tier explicitly and restores it afterwards.
     let session_tier = active_tier();
     let tiers = available_tiers();
     eprintln!(
@@ -160,10 +147,8 @@ fn main() {
             data.extend_from_slice(&random_unit_vector(&mut rng, dim));
         }
         let store = ExactStore::new(dim, data.clone());
-        let queries_data: Vec<Vec<f32>> = (0..QUERY_COUNTS[QUERY_COUNTS.len() - 1])
-            .map(|_| random_unit_vector(&mut rng, dim))
-            .collect();
-        let q0 = queries_data[0].as_slice();
+        let q0 = random_unit_vector(&mut rng, dim);
+        let q0 = q0.as_slice();
 
         // Correctness first: same ids out of both scan generations.
         let scalar_hits = scalar_top_k(dim, &data, q0, K);
@@ -234,42 +219,11 @@ fn main() {
         }
         assert!(force_tier(session_tier));
 
-        let mut batched = Vec::new();
-        for &nq in &QUERY_COUNTS {
-            let qrefs: Vec<&[f32]> = queries_data[..nq].iter().map(|v| v.as_slice()).collect();
-            // The top_k_many contract: batched ≡ sequential, bit for bit.
-            let batch = store.top_k_many(&qrefs, K, usize::MAX, &|_| true);
-            for (q, hits) in qrefs.iter().zip(&batch) {
-                let sequential = store.top_k_budgeted(q, K, usize::MAX, &|_| true);
-                assert_eq!(&sequential, hits, "batched result diverged (Q={nq})");
-            }
-            let seq_secs = time_per_call(|| {
-                qrefs
-                    .iter()
-                    .map(|q| store.top_k_budgeted(q, K, usize::MAX, &|_| true))
-                    .collect::<Vec<_>>()
-            });
-            let batch_secs = time_per_call(|| store.top_k_many(&qrefs, K, usize::MAX, &|_| true));
-            let res = BatchedResult {
-                queries: nq,
-                sequential_qps: nq as f64 / seq_secs,
-                batched_qps: nq as f64 / batch_secs,
-            };
-            eprintln!(
-                "[scan] dim {dim}, Q={nq}: sequential {:.3e} q/s, batched {:.3e} q/s ({:.2}x)",
-                res.sequential_qps,
-                res.batched_qps,
-                res.batched_qps / res.sequential_qps
-            );
-            batched.push(res);
-        }
-
         results.push(DimResult {
             dim,
             scalar_rows_per_sec,
             kernel_rows_per_sec,
             matrix,
-            batched,
         });
     }
 
@@ -291,19 +245,6 @@ fn main() {
             println!(
                 "{:>3} | {:>6} | {:>7} | {:>10.3e}",
                 r.dim, m.tier, m.precision, m.rows_per_sec
-            );
-        }
-    }
-    println!("dim |  Q | sequential q/s | batched q/s | batched speedup");
-    for r in &results {
-        for b in &r.batched {
-            println!(
-                "{:>3} | {:>2} | {:>14.3e} | {:>11.3e} | {:>14.2}x",
-                r.dim,
-                b.queries,
-                b.sequential_qps,
-                b.batched_qps,
-                b.batched_qps / b.sequential_qps
             );
         }
     }
@@ -352,20 +293,6 @@ fn main() {
                 m.tier, m.precision, m.rows_per_sec
             );
             let _ = writeln!(json, "{}", if j + 1 < r.matrix.len() { "," } else { "" });
-        }
-        let _ = writeln!(json, "      ],");
-        let _ = writeln!(json, "      \"batched\": [");
-        for (j, b) in r.batched.iter().enumerate() {
-            let _ = write!(
-                json,
-                "        {{\"queries\": {}, \"sequential_queries_per_sec\": {:.0}, \
-                 \"batched_queries_per_sec\": {:.0}, \"batched_speedup\": {:.3}}}",
-                b.queries,
-                b.sequential_qps,
-                b.batched_qps,
-                b.batched_qps / b.sequential_qps
-            );
-            let _ = writeln!(json, "{}", if j + 1 < r.batched.len() { "," } else { "" });
         }
         let _ = writeln!(json, "      ]");
         let _ = writeln!(

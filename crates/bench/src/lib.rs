@@ -48,16 +48,3 @@ pub fn env_usize(name: &str, default: usize) -> usize {
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
 }
-
-/// Nearest-rank percentile of an unsorted sample (sorts in place,
-/// same unit out as in; NaN on an empty sample). Shared by the
-/// latency-reporting harnesses so `BENCH_*.json` artifacts all use
-/// the same percentile definition.
-pub fn percentile(samples: &mut [f64], p: f64) -> f64 {
-    if samples.is_empty() {
-        return f64::NAN;
-    }
-    samples.sort_unstable_by(|a, b| a.total_cmp(b));
-    let idx = ((samples.len() as f64 * p).ceil() as usize).clamp(1, samples.len()) - 1;
-    samples[idx]
-}

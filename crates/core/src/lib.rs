@@ -48,7 +48,7 @@ pub use ideal::ideal_query_vector;
 // batch contents), re-exported so transport crates need only this one
 // dependency.
 pub use index::{DatasetIndex, PatchMeta};
-pub use persist::{load_embeddings, load_index, save_embeddings, save_index, PersistError};
+pub use persist::{load_index, save_index, PersistError};
 pub use preprocess::{PreprocessConfig, Preprocessor};
 pub use protocol::{ErrorCode, MethodSpec, ProtocolError, Request, Response, MAX_LINE_BYTES};
 pub use runner::{run_benchmark_query, RunOutcome};

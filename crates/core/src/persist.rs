@@ -2,33 +2,25 @@
 //!
 //! §2.4: preprocessing "costs are incurred once per dataset and are then
 //! amortized across all subsequent queries" — which only pays off if
-//! the artifacts survive the process. Two formats live here:
-//!
-//! * **Embeddings-only** ([`save_embeddings`] / [`load_embeddings`]) —
-//!   the original length-prefixed format. The vector store and graphs
-//!   are *rebuilt deterministically* from the persisted embeddings and
-//!   configuration, so loading costs a full index construction.
-//! * **Full index** ([`save_index`] / [`load_index`]) — the sectioned,
-//!   checksummed `SSAWIDX1` container (see
-//!   `seesaw_vecstore::diskindex` and `docs/index_format.md`). The
-//!   built vector store is serialized *structurally* as a nested blob,
-//!   and loading maps the row payloads zero-copy with `mmap(2)` — a
-//!   cold start costs milliseconds instead of a store rebuild. Errors
-//!   are typed ([`PersistError`]): truncated and oversized files are
-//!   distinguished from checksum failures and bad magic.
+//! the artifacts survive the process. One format lives here:
+//! [`save_index`] / [`load_index`] write and read the sectioned,
+//! checksummed `SSAWIDX1` container (see `seesaw_vecstore::diskindex`
+//! and `docs/index_format.md`). The built vector store is serialized
+//! *structurally* as a nested blob, and loading maps the row payloads
+//! zero-copy with `mmap(2)` — a cold start costs milliseconds instead
+//! of a store rebuild. Errors are typed ([`PersistError`]): truncated
+//! and oversized files are distinguished from checksum failures and
+//! bad magic.
 //!
 //! Every `f32` travels as its raw IEEE-754 bit pattern
 //! (`to_le_bytes`/`from_le_bytes`), so the round trip is **bit-exact**
 //! for every representable value — subnormals, signed zeros, infinities
 //! and NaN payloads included; no decimal formatting or parsing is ever
-//! involved. `roundtrip_is_bit_exact_for_adversarial_floats` pins this
-//! down with property tests over hostile bit patterns, and
-//! `index_roundtrip_is_bit_exact_for_adversarial_floats` does the same
-//! for the sectioned format.
+//! involved. `index_roundtrip_is_bit_exact_for_adversarial_floats`
+//! pins this down over hostile bit patterns.
 
 use std::fmt;
-use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -38,8 +30,6 @@ use seesaw_vecstore::VectorStore;
 
 use crate::index::{DatasetIndex, PatchMeta};
 use crate::preprocess::PreprocessConfig;
-
-const MAGIC: &[u8; 8] = b"SEESAW01";
 
 /// Section kinds of the full-index container. The vecstore layer owns
 /// kinds `< 100` (row payloads, IVF structure); the engine's sections
@@ -259,139 +249,11 @@ pub fn load_index(
     }))
 }
 
-/// Write the index's embeddings and patch layout to `path`.
-///
-/// # Errors
-/// Propagates I/O errors from the filesystem.
-pub fn save_embeddings(index: &DatasetIndex, path: &Path) -> io::Result<()> {
-    let mut w = BufWriter::new(File::create(path)?);
-    w.write_all(MAGIC)?;
-    write_u64(&mut w, index.dim as u64)?;
-    write_u64(&mut w, index.n_patches() as u64)?;
-    write_u64(&mut w, index.n_images() as u64)?;
-    write_u64(&mut w, index.multiscale as u64)?;
-    // Patch metadata.
-    for p in &index.patches {
-        write_u64(&mut w, p.image as u64)?;
-        write_u64(&mut w, p.is_coarse as u64)?;
-        for v in [p.bbox.x, p.bbox.y, p.bbox.w, p.bbox.h] {
-            w.write_all(&v.to_le_bytes())?;
-        }
-    }
-    for &(s, e) in &index.image_patch_ranges {
-        write_u64(&mut w, s as u64)?;
-        write_u64(&mut w, e as u64)?;
-    }
-    // Embedding block.
-    for &v in index.embeddings.as_slice() {
-        w.write_all(&v.to_le_bytes())?;
-    }
-    w.flush()
-}
-
-/// Read an index back from `path`, rebuilding the store, graphs, and
-/// `M_D` deterministically with `config`. The result comes back behind
-/// `Arc`, matching [`crate::Preprocessor::build`], so it can serve
-/// sessions and a [`crate::service::SearchService`] directly.
-///
-/// # Errors
-/// Returns `InvalidData` on a malformed or truncated file.
-pub fn load_embeddings(path: &Path, config: &PreprocessConfig) -> io::Result<Arc<DatasetIndex>> {
-    let mut r = BufReader::new(File::open(path)?);
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "bad magic"));
-    }
-    let dim = read_u64(&mut r)? as usize;
-    let n_patches = read_u64(&mut r)? as usize;
-    let n_images = read_u64(&mut r)? as usize;
-    let multiscale = read_u64(&mut r)? != 0;
-    if dim == 0 || dim > 65_536 || n_patches < n_images {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "bad header"));
-    }
-    let mut patches = Vec::with_capacity(n_patches);
-    for _ in 0..n_patches {
-        let image = read_u64(&mut r)? as u32;
-        let is_coarse = read_u64(&mut r)? != 0;
-        let mut f = [0f32; 4];
-        for v in f.iter_mut() {
-            let mut b = [0u8; 4];
-            r.read_exact(&mut b)?;
-            *v = f32::from_le_bytes(b);
-        }
-        patches.push(PatchMeta {
-            image,
-            bbox: BBox::new(f[0], f[1], f[2], f[3]),
-            is_coarse,
-        });
-    }
-    let mut image_patch_ranges = Vec::with_capacity(n_images);
-    for _ in 0..n_images {
-        let s = read_u64(&mut r)? as u32;
-        let e = read_u64(&mut r)? as u32;
-        if (e as usize) > n_patches || s > e {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "bad range"));
-        }
-        image_patch_ranges.push((s, e));
-    }
-    let mut embeddings = vec![0f32; n_patches * dim];
-    for v in embeddings.iter_mut() {
-        let mut b = [0u8; 4];
-        r.read_exact(&mut b)?;
-        *v = f32::from_le_bytes(b);
-    }
-    Ok(Arc::new(crate::preprocess::rebuild_from_embeddings(
-        dim,
-        embeddings,
-        patches,
-        image_patch_ranges,
-        multiscale,
-        config,
-    )))
-}
-
-fn write_u64<W: Write>(w: &mut W, v: u64) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::preprocess::Preprocessor;
     use seesaw_dataset::DatasetSpec;
-
-    #[test]
-    fn roundtrip_preserves_embeddings_and_search() {
-        let ds = DatasetSpec::coco_like(0.001)
-            .with_max_queries(5)
-            .generate(3);
-        let cfg = PreprocessConfig::fast();
-        let index = Preprocessor::new(cfg.clone()).build(&ds);
-        let dir = std::env::temp_dir().join("seesaw-persist-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("index.bin");
-        save_embeddings(&index, &path).unwrap();
-        let loaded = load_embeddings(&path, &cfg).unwrap();
-        assert_eq!(loaded.dim, index.dim);
-        assert_eq!(loaded.embeddings, index.embeddings);
-        assert_eq!(loaded.patches, index.patches);
-        assert_eq!(loaded.coarse_patches, index.coarse_patches);
-        assert_eq!(loaded.multiscale, index.multiscale);
-        // Store behaviour identical (deterministic rebuild).
-        let q = ds.model.embed_text(ds.queries()[0].concept);
-        use seesaw_vecstore::VectorStore;
-        assert_eq!(index.store.top_k(&q, 5), loaded.store.top_k(&q, 5));
-        // Graph artifacts present per the config.
-        assert_eq!(loaded.m_d.is_some(), index.m_d.is_some());
-        std::fs::remove_file(&path).ok();
-    }
 
     #[test]
     fn roundtrip_through_arc_serves_identical_sessions() {
@@ -412,9 +274,9 @@ mod tests {
         let index = Preprocessor::new(cfg.clone()).build(&ds);
         let dir = std::env::temp_dir().join("seesaw-persist-test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("arc-roundtrip.bin");
-        save_embeddings(&index, &path).unwrap();
-        let loaded = load_embeddings(&path, &cfg).unwrap();
+        let path = dir.join("arc-roundtrip.ssawidx");
+        save_index(&index, &path).unwrap();
+        let loaded = load_index(&path, &cfg).unwrap();
         assert_eq!(loaded.embeddings, index.embeddings);
 
         let concept = ds.queries()[0].concept;
@@ -440,20 +302,21 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    mod adversarial {
-        use super::super::*;
-        use crate::index::PatchMeta;
-        use crate::preprocess::{rebuild_from_embeddings, PreprocessConfig};
-        use proptest::prelude::*;
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        use seesaw_dataset::BBox;
-        use seesaw_vecstore::StoreConfig;
+    mod sectioned {
+        use super::*;
+        use seesaw_vecstore::{RowPrecision, StoreConfig, VectorStore};
+
+        fn tmp(name: &str) -> std::path::PathBuf {
+            let dir = std::env::temp_dir().join("seesaw-persist-test");
+            std::fs::create_dir_all(&dir).unwrap();
+            dir.join(format!("{name}-{}.ssawidx", std::process::id()))
+        }
 
         /// Hostile but representable f32s: NaNs with payloads, signed
         /// zeros, infinities, subnormals, and extreme magnitudes, mixed
         /// with arbitrary bit patterns.
-        pub(super) fn adversarial_f32(rng: &mut StdRng) -> f32 {
+        fn adversarial_f32(rng: &mut rand::rngs::StdRng) -> f32 {
+            use rand::Rng;
             const SPECIALS: [u32; 12] = [
                 0x7fc0_0001, // quiet NaN with payload
                 0xffc1_2345, // negative NaN with payload
@@ -473,110 +336,6 @@ mod tests {
             } else {
                 f32::from_bits(rng.gen_range(0u32..u32::MAX))
             }
-        }
-
-        fn bits(v: &[f32]) -> Vec<u32> {
-            v.iter().map(|x| x.to_bits()).collect()
-        }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(16))]
-
-            /// Save → load returns every f32 — embeddings and bbox
-            /// fields — with its exact bit pattern, even for values
-            /// `PartialEq` cannot compare (NaN) or decimal formatting
-            /// would mangle (subnormals, payloads).
-            #[test]
-            fn roundtrip_is_bit_exact_for_adversarial_floats(
-                seed in 0u64..400,
-                n_images in 1usize..5,
-            ) {
-                let dim = 4usize;
-                let mut rng = StdRng::seed_from_u64(seed);
-                let embeddings: Vec<f32> =
-                    (0..n_images * dim).map(|_| adversarial_f32(&mut rng)).collect();
-                let patches: Vec<PatchMeta> = (0..n_images)
-                    .map(|i| PatchMeta {
-                        image: i as u32,
-                        bbox: BBox::new(
-                            adversarial_f32(&mut rng),
-                            adversarial_f32(&mut rng),
-                            adversarial_f32(&mut rng),
-                            adversarial_f32(&mut rng),
-                        ),
-                        is_coarse: true,
-                    })
-                    .collect();
-                let ranges: Vec<(u32, u32)> =
-                    (0..n_images as u32).map(|i| (i, i + 1)).collect();
-                // Exact store, graphs infeasible at this size: the
-                // rebuild must not choke on non-finite embeddings.
-                let cfg = PreprocessConfig::fast().with_store(StoreConfig::exact());
-                let index = rebuild_from_embeddings(
-                    dim,
-                    embeddings.clone(),
-                    patches.clone(),
-                    ranges,
-                    false,
-                    &cfg,
-                );
-                let dir = std::env::temp_dir().join("seesaw-persist-test");
-                std::fs::create_dir_all(&dir).unwrap();
-                let path = dir.join(format!("adversarial-{seed}-{n_images}.bin"));
-                save_embeddings(&index, &path).unwrap();
-                let loaded = load_embeddings(&path, &cfg).unwrap();
-                std::fs::remove_file(&path).ok();
-                // Bit compare, not PartialEq: NaN != NaN would make the
-                // assertion vacuous exactly where it matters most.
-                prop_assert_eq!(
-                    bits(loaded.embeddings.as_slice()),
-                    bits(index.embeddings.as_slice())
-                );
-                for (l, o) in loaded.patches.iter().zip(&patches) {
-                    prop_assert_eq!(l.image, o.image);
-                    prop_assert_eq!(l.is_coarse, o.is_coarse);
-                    let lb = [l.bbox.x, l.bbox.y, l.bbox.w, l.bbox.h];
-                    let ob = [o.bbox.x, o.bbox.y, o.bbox.w, o.bbox.h];
-                    prop_assert_eq!(bits(&lb), bits(&ob));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn corrupt_file_is_rejected() {
-        let dir = std::env::temp_dir().join("seesaw-persist-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("garbage.bin");
-        std::fs::write(&path, b"not an index at all").unwrap();
-        let err = load_embeddings(&path, &PreprocessConfig::fast());
-        assert!(err.is_err());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn truncated_file_is_rejected() {
-        let ds = DatasetSpec::coco_like(0.0).with_max_queries(3).generate(3);
-        let cfg = PreprocessConfig::fast();
-        let index = Preprocessor::new(cfg.clone()).build(&ds);
-        let dir = std::env::temp_dir().join("seesaw-persist-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("trunc.bin");
-        save_embeddings(&index, &path).unwrap();
-        let full = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &full[..full.len() / 2]).unwrap();
-        assert!(load_embeddings(&path, &cfg).is_err());
-        std::fs::remove_file(&path).ok();
-    }
-
-    mod sectioned {
-        use super::*;
-        use seesaw_vecstore::{RowPrecision, StoreConfig, VectorStore};
-
-        fn tmp(name: &str) -> std::path::PathBuf {
-            let dir = std::env::temp_dir().join("seesaw-persist-test");
-            std::fs::create_dir_all(&dir).unwrap();
-            dir.join(format!("{name}-{}.ssawidx", std::process::id()))
         }
 
         fn assert_identical_queries(a: &DatasetIndex, b: &DatasetIndex, q: &[f32]) {
@@ -694,16 +453,16 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(99);
             let n_images = 4usize;
             let embeddings: Vec<f32> = (0..n_images * dim)
-                .map(|_| super::adversarial::adversarial_f32(&mut rng))
+                .map(|_| adversarial_f32(&mut rng))
                 .collect();
             let patches: Vec<PatchMeta> = (0..n_images)
                 .map(|i| PatchMeta {
                     image: i as u32,
                     bbox: BBox::new(
-                        super::adversarial::adversarial_f32(&mut rng),
-                        super::adversarial::adversarial_f32(&mut rng),
-                        super::adversarial::adversarial_f32(&mut rng),
-                        super::adversarial::adversarial_f32(&mut rng),
+                        adversarial_f32(&mut rng),
+                        adversarial_f32(&mut rng),
+                        adversarial_f32(&mut rng),
+                        adversarial_f32(&mut rng),
                     ),
                     is_coarse: true,
                 })

@@ -297,8 +297,8 @@ pub(crate) fn build_graph_artifacts(
 }
 
 /// Build the store, graph artifacts, and `M_D` from an existing
-/// embedding block — the shared tail of [`Preprocessor::build`] and
-/// [`crate::persist::load_embeddings`]. Deterministic given `cfg`.
+/// embedding block — the tail of [`Preprocessor::build`].
+/// Deterministic given `cfg`.
 pub(crate) fn rebuild_from_embeddings(
     dim: usize,
     embeddings: Vec<f32>,

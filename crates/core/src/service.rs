@@ -13,8 +13,8 @@
 //!    registry locks are held only for lookup/insert/remove. The
 //!    expensive work — vector-store lookups and alignment solves —
 //!    runs under the *session's own* mutex, so concurrent users never
-//!    serialize on each other. The `engine_throughput` bench quantifies
-//!    the win over the old single-global-mutex design.
+//!    serialize on each other — unlike under the old
+//!    single-global-mutex design.
 //! 2. **Typed errors.** Every fallible call returns
 //!    `Result<_, `[`ServiceError`]`>` instead of `Option`/`bool`, and
 //!    [`Batch::Exhausted`] makes "the database ran dry" distinct from

@@ -330,6 +330,18 @@ fn engine_index_maps_corruption_into_persist_error() {
         load_index(&path, &cfg),
         Err(PersistError::Format(DiskIndexError::BadMagic))
     ));
+
+    // A file in the retired embeddings-only format (magic, then u64
+    // header fields) is a format error like any other foreign file.
+    let mut old = b"SEESAW01".to_vec();
+    for field in [128u64, 3120, 240, 1] {
+        old.extend_from_slice(&field.to_le_bytes());
+    }
+    std::fs::write(&path, &old).unwrap();
+    assert!(matches!(
+        load_index(&path, &cfg),
+        Err(PersistError::Format(DiskIndexError::BadMagic))
+    ));
     std::fs::remove_file(&path).ok();
 
     // Missing file is an I/O error, not a format error.

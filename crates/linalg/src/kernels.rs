@@ -3,19 +3,18 @@
 //!
 //! Every inner product computed anywhere in the SeeSaw reproduction
 //! (vector-store scans, ENS priors, aligner quadratic forms, kNN
-//! builds) funnels through [`dot`], and the batched paths funnel
-//! through [`gemv_into`]/[`gemv1_into`] (plus the `_f16` variants for
-//! half-precision row storage). Centralizing the arithmetic buys:
+//! builds) funnels through [`dot`], and the row scans funnel through
+//! [`gemv1_into`] (plus the `_f16`/`_sq8` variants for the compact row
+//! storage tiers). Centralizing the arithmetic buys:
 //!
 //! 1. **Speed.** Each kernel executes on the best instruction-set tier
 //!    the CPU supports — explicit AVX2 (+F16C) on x86_64, NEON on
 //!    aarch64, lane-unrolled portable scalar everywhere — selected once
 //!    per process by [`crate::simd::active_tier`] (override with
 //!    `SEESAW_SIMD=scalar|avx2|neon|auto`, pin in-process with
-//!    [`crate::simd::force_tier`]). The GEMV kernels additionally
-//!    *block* over rows so a block of the row matrix is read from
-//!    memory once per query batch, and the SIMD tiers score several
-//!    rows per loop to keep independent accumulator chains in flight.
+//!    [`crate::simd::force_tier`]). In the GEMV kernels the SIMD tiers
+//!    score several rows per loop to keep independent accumulator
+//!    chains in flight.
 //!    The f16 kernels score f16-encoded rows directly (widening
 //!    in-register on AVX2), halving the memory traffic of a dense scan.
 //! 2. **Determinism by construction.** All backends and all tiers
@@ -32,8 +31,8 @@
 //!   `((l0+l4)+(l1+l5)) + ((l2+l6)+(l3+l7))`, then the scalar
 //!   remainder added left-to-right. This order is part of the public
 //!   contract — it is *the* canonical summation order of the workspace
-//!   — and every batched kernel computes each score by the exact same
-//!   sequence of operations, so [`gemv_into`] output is bit-identical
+//!   — and every GEMV kernel computes each score by the exact same
+//!   sequence of operations, so [`gemv1_into`] output is bit-identical
 //!   to calling [`dot`] per row.
 //! * **Tier equivalence.** Every SIMD tier replays that operation
 //!   sequence exactly, so each kernel is **bitwise identical across
@@ -67,11 +66,6 @@ use crate::simd::{
 };
 
 pub use crate::simd::PQ_LUT_STRIDE;
-
-/// Rows per cache block in [`gemv_into`]: `16 × 512 dims × 4 B = 32 KiB`
-/// at the largest common embedding width — sized to stay L1-resident
-/// while a block is re-scored against every query of a batch.
-const ROW_BLOCK: usize = 16;
 
 /// Inner product `a · b` — the workspace's canonical scoring kernel,
 /// on the active SIMD tier.
@@ -187,46 +181,8 @@ pub fn scale_add(y: &mut [f32], beta: f32, alpha: f32, x: &[f32]) {
     }
 }
 
-/// Blocked multi-query GEMV: score every row of `rows` (row-major,
-/// `n × dim`) against every query, writing query-major output
-/// (`out[q·n + r] = rows[r] · queries[q]`).
-///
-/// Rows are processed in cache-sized blocks: each block is read
-/// from memory once and scored against all `Q` queries while cache
-/// resident, so a batch of queries costs one pass over the data plus
-/// cache-speed re-reads instead of `Q` full passes. Each score is
-/// computed by [`dot`], so the output is bit-identical to the
-/// per-row/per-query scalar calls.
-///
-/// # Panics
-/// Panics when `dim == 0`, `rows.len()` is not a multiple of `dim`,
-/// any query's length differs from `dim`, or `out.len()` differs from
-/// `queries.len() * (rows.len() / dim)`.
-pub fn gemv_into(rows: &[f32], dim: usize, queries: &[&[f32]], out: &mut [f32]) {
-    gemv_into_with(active_tier(), rows, dim, queries, out)
-}
-
-/// [`gemv_into`] on an explicit tier. Same contracts.
-pub fn gemv_into_with(tier: Tier, rows: &[f32], dim: usize, queries: &[&[f32]], out: &mut [f32]) {
-    assert!(dim > 0, "dimension must be positive");
-    assert_eq!(rows.len() % dim, 0, "buffer is not a multiple of dim");
-    let n = rows.len() / dim;
-    assert_eq!(out.len(), n * queries.len(), "output length mismatch");
-    for q in queries {
-        assert_eq!(q.len(), dim, "query dimension mismatch");
-    }
-    for block_start in (0..n).step_by(ROW_BLOCK) {
-        let block_end = (block_start + ROW_BLOCK).min(n);
-        let block = &rows[block_start * dim..block_end * dim];
-        for (qi, q) in queries.iter().enumerate() {
-            let out_q = &mut out[qi * n + block_start..qi * n + block_end];
-            dispatch_gemv1(tier, block, dim, q, out_q);
-        }
-    }
-}
-
-/// Single-query GEMV: `out[r] = rows[r] · query`. The `Q = 1` case of
-/// [`gemv_into`] without the dispatch overhead; same contracts.
+/// Single-query GEMV: `out[r] = rows[r] · query`, each score
+/// bit-identical to [`dot`] on that row.
 ///
 /// # Panics
 /// Panics when `dim == 0`, `rows.len()` is not a multiple of `dim`,
@@ -242,42 +198,6 @@ pub fn gemv1_into_with(tier: Tier, rows: &[f32], dim: usize, query: &[f32], out:
     assert_eq!(query.len(), dim, "query dimension mismatch");
     assert_eq!(out.len(), rows.len() / dim, "output length mismatch");
     dispatch_gemv1(tier, rows, dim, query, out);
-}
-
-/// Blocked multi-query GEMV over f16-encoded rows: the [`gemv_into`]
-/// twin for half-precision row storage. Each score is computed by
-/// [`dot_f16`], so the output is bit-identical to decoding the rows
-/// and calling [`gemv_into`].
-///
-/// # Panics
-/// Same shape contract as [`gemv_into`].
-pub fn gemv_f16_into(rows: &[u16], dim: usize, queries: &[&[f32]], out: &mut [f32]) {
-    gemv_f16_into_with(active_tier(), rows, dim, queries, out)
-}
-
-/// [`gemv_f16_into`] on an explicit tier. Same contracts.
-pub fn gemv_f16_into_with(
-    tier: Tier,
-    rows: &[u16],
-    dim: usize,
-    queries: &[&[f32]],
-    out: &mut [f32],
-) {
-    assert!(dim > 0, "dimension must be positive");
-    assert_eq!(rows.len() % dim, 0, "buffer is not a multiple of dim");
-    let n = rows.len() / dim;
-    assert_eq!(out.len(), n * queries.len(), "output length mismatch");
-    for q in queries {
-        assert_eq!(q.len(), dim, "query dimension mismatch");
-    }
-    for block_start in (0..n).step_by(ROW_BLOCK) {
-        let block_end = (block_start + ROW_BLOCK).min(n);
-        let block = &rows[block_start * dim..block_end * dim];
-        for (qi, q) in queries.iter().enumerate() {
-            let out_q = &mut out[qi * n + block_start..qi * n + block_end];
-            dispatch_gemv1_f16(tier, block, dim, q, out_q);
-        }
-    }
 }
 
 /// Single-query GEMV over f16-encoded rows: `out[r] = decode(rows[r])
@@ -296,53 +216,6 @@ pub fn gemv1_f16_into_with(tier: Tier, rows: &[u16], dim: usize, query: &[f32], 
     assert_eq!(query.len(), dim, "query dimension mismatch");
     assert_eq!(out.len(), rows.len() / dim, "output length mismatch");
     dispatch_gemv1_f16(tier, rows, dim, query, out);
-}
-
-/// Blocked multi-query GEMV over SQ8-encoded rows: the [`gemv_into`]
-/// twin for quantized row storage. `params` holds one `(scale,
-/// offset)` pair per row (`params[2r]`, `params[2r + 1]`); each score
-/// is computed by [`dot_sq8`], so the output is bit-identical to
-/// dequantizing the rows and calling [`gemv_into`].
-///
-/// # Panics
-/// Same shape contract as [`gemv_into`], plus
-/// `params.len() == 2 * (codes.len() / dim)`.
-pub fn gemv_sq8_into(
-    codes: &[u8],
-    dim: usize,
-    params: &[f32],
-    queries: &[&[f32]],
-    out: &mut [f32],
-) {
-    gemv_sq8_into_with(active_tier(), codes, dim, params, queries, out)
-}
-
-/// [`gemv_sq8_into`] on an explicit tier. Same contracts.
-pub fn gemv_sq8_into_with(
-    tier: Tier,
-    codes: &[u8],
-    dim: usize,
-    params: &[f32],
-    queries: &[&[f32]],
-    out: &mut [f32],
-) {
-    assert!(dim > 0, "dimension must be positive");
-    assert_eq!(codes.len() % dim, 0, "buffer is not a multiple of dim");
-    let n = codes.len() / dim;
-    assert_eq!(params.len(), 2 * n, "params length mismatch");
-    assert_eq!(out.len(), n * queries.len(), "output length mismatch");
-    for q in queries {
-        assert_eq!(q.len(), dim, "query dimension mismatch");
-    }
-    for block_start in (0..n).step_by(ROW_BLOCK) {
-        let block_end = (block_start + ROW_BLOCK).min(n);
-        let block = &codes[block_start * dim..block_end * dim];
-        let block_params = &params[2 * block_start..2 * block_end];
-        for (qi, q) in queries.iter().enumerate() {
-            let out_q = &mut out[qi * n + block_start..qi * n + block_end];
-            dispatch_gemv1_sq8(tier, block, dim, block_params, q, out_q);
-        }
-    }
 }
 
 /// Single-query GEMV over SQ8-encoded rows: `out[r] =
@@ -580,23 +453,14 @@ mod tests {
     #[test]
     fn gemv_matches_per_row_dot_bitwise() {
         let dim = 37; // deliberately not a multiple of the lane width
-        let n = 45; // deliberately not a multiple of the row block
+        let n = 45; // deliberately not a multiple of the SIMD row group
         let rows = random_rows(n, dim, 3);
-        let queries_data = random_rows(3, dim, 4);
-        let queries: Vec<&[f32]> = queries_data.chunks_exact(dim).collect();
-        let mut out = vec![0.0f32; 3 * n];
-        gemv_into(&rows, dim, &queries, &mut out);
-        for (qi, q) in queries.iter().enumerate() {
-            for r in 0..n {
-                let reference = dot(&rows[r * dim..(r + 1) * dim], q);
-                assert_eq!(out[qi * n + r].to_bits(), reference.to_bits());
-            }
-        }
-        // The single-query kernel agrees too.
-        let mut single = vec![0.0f32; n];
-        gemv1_into(&rows, dim, queries[1], &mut single);
+        let query = random_rows(1, dim, 4);
+        let mut out = vec![0.0f32; n];
+        gemv1_into(&rows, dim, &query, &mut out);
         for r in 0..n {
-            assert_eq!(single[r].to_bits(), out[n + r].to_bits());
+            let reference = dot(&rows[r * dim..(r + 1) * dim], &query);
+            assert_eq!(out[r].to_bits(), reference.to_bits());
         }
     }
 
@@ -605,20 +469,12 @@ mod tests {
         let dim = 37;
         let n = 45;
         let rows = encode_f16(&random_rows(n, dim, 13));
-        let queries_data = random_rows(3, dim, 14);
-        let queries: Vec<&[f32]> = queries_data.chunks_exact(dim).collect();
-        let mut out = vec![0.0f32; 3 * n];
-        gemv_f16_into(&rows, dim, &queries, &mut out);
-        for (qi, q) in queries.iter().enumerate() {
-            for r in 0..n {
-                let reference = dot_f16(&rows[r * dim..(r + 1) * dim], q);
-                assert_eq!(out[qi * n + r].to_bits(), reference.to_bits());
-            }
-        }
-        let mut single = vec![0.0f32; n];
-        gemv1_f16_into(&rows, dim, queries[1], &mut single);
+        let query = random_rows(1, dim, 14);
+        let mut out = vec![0.0f32; n];
+        gemv1_f16_into(&rows, dim, &query, &mut out);
         for r in 0..n {
-            assert_eq!(single[r].to_bits(), out[n + r].to_bits());
+            let reference = dot_f16(&rows[r * dim..(r + 1) * dim], &query);
+            assert_eq!(out[r].to_bits(), reference.to_bits());
         }
     }
 
@@ -651,25 +507,17 @@ mod tests {
                 }
             })
             .collect();
-        let queries_data = random_rows(3, dim, 23);
-        let queries: Vec<&[f32]> = queries_data.chunks_exact(dim).collect();
-        let mut out = vec![0.0f32; 3 * n];
-        gemv_sq8_into(&codes, dim, &params, &queries, &mut out);
-        for (qi, q) in queries.iter().enumerate() {
-            for r in 0..n {
-                let reference = dot_sq8(
-                    &codes[r * dim..(r + 1) * dim],
-                    params[2 * r],
-                    params[2 * r + 1],
-                    q,
-                );
-                assert_eq!(out[qi * n + r].to_bits(), reference.to_bits());
-            }
-        }
-        let mut single = vec![0.0f32; n];
-        gemv1_sq8_into(&codes, dim, &params, queries[1], &mut single);
+        let query = random_rows(1, dim, 23);
+        let mut out = vec![0.0f32; n];
+        gemv1_sq8_into(&codes, dim, &params, &query, &mut out);
         for r in 0..n {
-            assert_eq!(single[r].to_bits(), out[n + r].to_bits());
+            let reference = dot_sq8(
+                &codes[r * dim..(r + 1) * dim],
+                params[2 * r],
+                params[2 * r + 1],
+                &query,
+            );
+            assert_eq!(out[r].to_bits(), reference.to_bits());
         }
     }
 
@@ -717,11 +565,8 @@ mod tests {
     #[test]
     fn gemv_handles_empty_rows() {
         let mut out: Vec<f32> = Vec::new();
-        gemv_into(&[], 8, &[&[0.0; 8]], &mut out);
         gemv1_into(&[], 8, &[0.0; 8], &mut out);
-        gemv_f16_into(&[], 8, &[&[0.0; 8]], &mut out);
         gemv1_f16_into(&[], 8, &[0.0; 8], &mut out);
-        gemv_sq8_into(&[], 8, &[], &[&[0.0; 8]], &mut out);
         gemv1_sq8_into(&[], 8, &[], &[0.0; 8], &mut out);
     }
 
@@ -801,6 +646,6 @@ mod tests {
     #[should_panic(expected = "output length mismatch")]
     fn gemv_rejects_wrong_output_length() {
         let mut out = vec![0.0f32; 3];
-        gemv_into(&[1.0; 8], 4, &[&[0.0; 4]], &mut out);
+        gemv1_into(&[1.0; 8], 4, &[0.0; 4], &mut out);
     }
 }

@@ -98,8 +98,7 @@ proptest! {
     #[test]
     fn kernel_gemv_matches_per_row_dot_bitwise(
         rows in proptest::collection::vec(-5.0f32..5.0, 0..180),
-        q1 in small_vec(6),
-        q2 in small_vec(6),
+        q in small_vec(6),
     ) {
         let dim = 6;
         let rows = {
@@ -107,18 +106,15 @@ proptest! {
             rows[..n * dim].to_vec()
         };
         let n = rows.len() / dim;
-        let queries: Vec<&[f32]> = vec![&q1, &q2];
-        let mut out = vec![0.0f32; 2 * n];
-        kernels::gemv_into(&rows, dim, &queries, &mut out);
-        let mut again = vec![0.0f32; 2 * n];
-        kernels::gemv_into(&rows, dim, &queries, &mut again);
-        for (qi, q) in queries.iter().enumerate() {
-            for r in 0..n {
-                let reference = dot(&rows[r * dim..(r + 1) * dim], q);
-                prop_assert_eq!(out[qi * n + r].to_bits(), reference.to_bits());
-                // Bit-stable across repeated calls.
-                prop_assert_eq!(out[qi * n + r].to_bits(), again[qi * n + r].to_bits());
-            }
+        let mut out = vec![0.0f32; n];
+        kernels::gemv1_into(&rows, dim, &q, &mut out);
+        let mut again = vec![0.0f32; n];
+        kernels::gemv1_into(&rows, dim, &q, &mut again);
+        for r in 0..n {
+            let reference = dot(&rows[r * dim..(r + 1) * dim], &q);
+            prop_assert_eq!(out[r].to_bits(), reference.to_bits());
+            // Bit-stable across repeated calls.
+            prop_assert_eq!(out[r].to_bits(), again[r].to_bits());
         }
     }
 
@@ -376,29 +372,17 @@ proptest! {
             .flat_map(|_| [rng.gen_range(0.0f32..0.1), rng.gen_range(-5.0f32..5.0)])
             .collect();
         let q1: Vec<f32> = (0..dim).map(|_| rng.gen_range(-5.0f32..5.0)).collect();
-        let q2: Vec<f32> = (0..dim).map(|_| rng.gen_range(-5.0f32..5.0)).collect();
-        let queries: Vec<&[f32]> = vec![&q1, &q2];
 
         let mut ref_single = vec![0.0f32; n];
         kernels::gemv1_sq8_into_with(Tier::Scalar, &codes, dim, &params, &q1, &mut ref_single);
-        let mut ref_multi = vec![0.0f32; 2 * n];
-        kernels::gemv_sq8_into_with(Tier::Scalar, &codes, dim, &params, &queries, &mut ref_multi);
 
         for tier in available_tiers() {
             let mut single = vec![0.0f32; n];
             kernels::gemv1_sq8_into_with(tier, &codes, dim, &params, &q1, &mut single);
-            let mut multi = vec![0.0f32; 2 * n];
-            kernels::gemv_sq8_into_with(tier, &codes, dim, &params, &queries, &mut multi);
             for r in 0..n {
                 prop_assert_eq!(
                     single[r].to_bits(), ref_single[r].to_bits(),
                     "gemv1_sq8 dim {} n {} row {} tier {}", dim, n, r, tier.name()
-                );
-            }
-            for i in 0..2 * n {
-                prop_assert_eq!(
-                    multi[i].to_bits(), ref_multi[i].to_bits(),
-                    "gemv_sq8 dim {} n {} slot {} tier {}", dim, n, i, tier.name()
                 );
             }
         }
@@ -414,29 +398,17 @@ proptest! {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let rows: Vec<f32> = (0..n * dim).map(|_| rng.gen_range(-5.0f32..5.0)).collect();
         let q1: Vec<f32> = (0..dim).map(|_| rng.gen_range(-5.0f32..5.0)).collect();
-        let q2: Vec<f32> = (0..dim).map(|_| rng.gen_range(-5.0f32..5.0)).collect();
-        let queries: Vec<&[f32]> = vec![&q1, &q2];
 
         let mut ref_single = vec![0.0f32; n];
         kernels::gemv1_into_with(Tier::Scalar, &rows, dim, &q1, &mut ref_single);
-        let mut ref_multi = vec![0.0f32; 2 * n];
-        kernels::gemv_into_with(Tier::Scalar, &rows, dim, &queries, &mut ref_multi);
 
         for tier in available_tiers() {
             let mut single = vec![0.0f32; n];
             kernels::gemv1_into_with(tier, &rows, dim, &q1, &mut single);
-            let mut multi = vec![0.0f32; 2 * n];
-            kernels::gemv_into_with(tier, &rows, dim, &queries, &mut multi);
             for r in 0..n {
                 prop_assert_eq!(
                     single[r].to_bits(), ref_single[r].to_bits(),
                     "gemv1 dim {} n {} row {} tier {}", dim, n, r, tier.name()
-                );
-            }
-            for i in 0..2 * n {
-                prop_assert_eq!(
-                    multi[i].to_bits(), ref_multi[i].to_bits(),
-                    "gemv dim {} n {} slot {} tier {}", dim, n, i, tier.name()
                 );
             }
         }
@@ -453,29 +425,17 @@ proptest! {
         let raw: Vec<f32> = (0..n * dim).map(|_| rng.gen_range(-5.0f32..5.0)).collect();
         let rows = encode_f16(&raw);
         let q1: Vec<f32> = (0..dim).map(|_| rng.gen_range(-5.0f32..5.0)).collect();
-        let q2: Vec<f32> = (0..dim).map(|_| rng.gen_range(-5.0f32..5.0)).collect();
-        let queries: Vec<&[f32]> = vec![&q1, &q2];
 
         let mut ref_single = vec![0.0f32; n];
         kernels::gemv1_f16_into_with(Tier::Scalar, &rows, dim, &q1, &mut ref_single);
-        let mut ref_multi = vec![0.0f32; 2 * n];
-        kernels::gemv_f16_into_with(Tier::Scalar, &rows, dim, &queries, &mut ref_multi);
 
         for tier in available_tiers() {
             let mut single = vec![0.0f32; n];
             kernels::gemv1_f16_into_with(tier, &rows, dim, &q1, &mut single);
-            let mut multi = vec![0.0f32; 2 * n];
-            kernels::gemv_f16_into_with(tier, &rows, dim, &queries, &mut multi);
             for r in 0..n {
                 prop_assert_eq!(
                     single[r].to_bits(), ref_single[r].to_bits(),
                     "gemv1_f16 dim {} n {} row {} tier {}", dim, n, r, tier.name()
-                );
-            }
-            for i in 0..2 * n {
-                prop_assert_eq!(
-                    multi[i].to_bits(), ref_multi[i].to_bits(),
-                    "gemv_f16 dim {} n {} slot {} tier {}", dim, n, i, tier.name()
                 );
             }
         }

@@ -1,6 +1,6 @@
 //! A small blocking client for the line protocol — the other end of
-//! [`crate::Server`], used by the integration tests, the
-//! `serve_throughput` bench, and the `search_server` example.
+//! [`crate::Server`], used by the integration tests, the benchmark
+//! under `benchmark/`, and the `search_server` example.
 
 use std::fmt;
 use std::io::{BufRead, BufReader, Write};

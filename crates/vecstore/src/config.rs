@@ -277,16 +277,6 @@ impl VectorStore for AnyStore {
     fn top_k_budgeted(&self, query: &[f32], k: usize, budget: usize, keep: &KeepFn) -> Vec<Hit> {
         dispatch!(self, s => s.top_k_budgeted(query, k, budget, keep))
     }
-
-    fn top_k_many(
-        &self,
-        queries: &[&[f32]],
-        k: usize,
-        budget: usize,
-        keep: &KeepFn,
-    ) -> Vec<Vec<Hit>> {
-        dispatch!(self, s => s.top_k_many(queries, k, budget, keep))
-    }
 }
 
 #[cfg(test)]

@@ -1412,11 +1412,13 @@ mod tests {
                 assert_eq!(x.score.to_bits(), y.score.to_bits());
             }
         }
-        // Self-queries through the batch path too.
-        let queries: Vec<&[f32]> = vec![&data[..dim], &data[dim..2 * dim]];
-        let ma = a.top_k_many(&queries, 5, usize::MAX, &|_| true);
-        let mb = b.top_k_many(&queries, 5, usize::MAX, &|_| true);
-        assert_eq!(ma, mb);
+        // Self-queries at full budget too.
+        for q in [&data[..dim], &data[dim..2 * dim]] {
+            assert_eq!(
+                a.top_k_budgeted(q, 5, usize::MAX, &|_| true),
+                b.top_k_budgeted(q, 5, usize::MAX, &|_| true)
+            );
+        }
     }
 
     #[test]

@@ -218,85 +218,6 @@ impl VectorStore for ExactStore {
         }
         self.rerank(query, k, sel.into_sorted_hits())
     }
-
-    fn top_k_many(
-        &self,
-        queries: &[&[f32]],
-        k: usize,
-        _budget: usize,
-        keep: &KeepFn,
-    ) -> Vec<Vec<Hit>> {
-        for q in queries {
-            assert_eq!(q.len(), self.dim, "query dimension mismatch");
-        }
-        let nq = queries.len();
-        if k == 0 || nq == 0 {
-            return vec![Vec::new(); nq];
-        }
-        if nq == 1 {
-            // Contractually identical and skips the batch machinery.
-            return vec![self.top_k_filtered(queries[0], k, keep)];
-        }
-        // One pass over the data: each row block is scored against all
-        // queries while cache resident, and `keep` runs once per row
-        // for the whole batch.
-        let n = self.len();
-        let pool_k = self.pool_k(k);
-        let mut sels: Vec<TopKSelector> = (0..nq).map(|_| TopKSelector::new(pool_k)).collect();
-        let mut scores = vec![0.0f32; nq * SCAN_BLOCK];
-        let mut kept = [false; SCAN_BLOCK];
-        let mut base = 0u32;
-        // PQ: one ADC table per query, hoisted out of the block loop.
-        let luts: Option<Vec<Vec<f32>>> = match self.rows.precision() {
-            RowPrecision::Pq { .. } => Some(
-                queries
-                    .iter()
-                    .map(|q| {
-                        self.rows
-                            .pq_lut(self.dim, q)
-                            .expect("pq storage always builds a lut")
-                    })
-                    .collect(),
-            ),
-            _ => None,
-        };
-        for start in (0..n).step_by(SCAN_BLOCK) {
-            let end = (start + SCAN_BLOCK).min(n);
-            let rows = end - start;
-            for (j, flag) in kept[..rows].iter_mut().enumerate() {
-                *flag = keep(base + j as u32);
-            }
-            match &luts {
-                Some(luts) => {
-                    // Same query-major score layout as gemv_range.
-                    for (qi, lut) in luts.iter().enumerate() {
-                        self.rows.scan_pq_range(
-                            start..end,
-                            lut,
-                            &mut scores[qi * rows..(qi + 1) * rows],
-                        );
-                    }
-                }
-                None => {
-                    self.rows
-                        .gemv_range(self.dim, start..end, queries, &mut scores[..nq * rows])
-                }
-            }
-            for (qi, sel) in sels.iter_mut().enumerate() {
-                let row_scores = &scores[qi * rows..(qi + 1) * rows];
-                for (j, &score) in row_scores.iter().enumerate() {
-                    if kept[j] {
-                        sel.insert(base + j as u32, score);
-                    }
-                }
-            }
-            base += rows as u32;
-        }
-        sels.into_iter()
-            .zip(queries)
-            .map(|(sel, q)| self.rerank(q, k, sel.into_sorted_hits()))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -410,44 +331,5 @@ mod tests {
                 assert_eq!(g.score.to_bits(), r.score.to_bits(), "n={n}");
             }
         }
-    }
-
-    #[test]
-    fn batched_queries_match_sequential_scans_bitwise() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        use seesaw_linalg::random_unit_vector;
-
-        let dim = 12;
-        let n = 150;
-        let mut rng = StdRng::seed_from_u64(23);
-        let mut data = Vec::with_capacity(n * dim);
-        for _ in 0..n {
-            data.extend_from_slice(&random_unit_vector(&mut rng, dim));
-        }
-        let s = ExactStore::new(dim, data);
-        let queries_data: Vec<Vec<f32>> =
-            (0..5).map(|_| random_unit_vector(&mut rng, dim)).collect();
-        let queries: Vec<&[f32]> = queries_data.iter().map(|v| v.as_slice()).collect();
-        let keep = |id: u32| id % 4 != 1;
-        let batched = s.top_k_many(&queries, 8, usize::MAX, &keep);
-        assert_eq!(batched.len(), queries.len());
-        for (q, hits) in queries.iter().zip(&batched) {
-            let sequential = s.top_k_budgeted(q, 8, usize::MAX, &keep);
-            assert_eq!(hits.len(), sequential.len());
-            for (b, s) in hits.iter().zip(&sequential) {
-                assert_eq!(b.id, s.id);
-                assert_eq!(b.score.to_bits(), s.score.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn batched_zero_queries_and_zero_k_are_empty() {
-        let s = store();
-        assert!(s.top_k_many(&[], 3, usize::MAX, &|_| true).is_empty());
-        let q: &[f32] = &[1.0, 0.0];
-        let out = s.top_k_many(&[q], 0, usize::MAX, &|_| true);
-        assert_eq!(out, vec![Vec::new()]);
     }
 }

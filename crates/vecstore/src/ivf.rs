@@ -361,8 +361,7 @@ impl IvfStore {
     /// `min_candidates` vectors are covered. Coverage counts every
     /// vector in a scanned list (filtering happens during scoring, not
     /// probing), so the prefix is a pure function of the probe order
-    /// and list sizes — which is what lets the batched scan precompute
-    /// per-query probe sets and share list passes across queries.
+    /// and list sizes.
     fn probe_prefix(&self, query: &[f32], min_lists: usize, min_candidates: usize) -> Vec<usize> {
         let mut scanned = 0usize;
         let mut prefix = Vec::new();
@@ -426,114 +425,6 @@ impl VectorStore for IvfStore {
 
     fn top_k_budgeted(&self, query: &[f32], k: usize, budget: usize, keep: &KeepFn) -> Vec<Hit> {
         self.query_probed(query, k, 1, budget, keep)
-    }
-
-    fn top_k_many(
-        &self,
-        queries: &[&[f32]],
-        k: usize,
-        budget: usize,
-        keep: &KeepFn,
-    ) -> Vec<Vec<Hit>> {
-        for q in queries {
-            assert_eq!(q.len(), self.dim, "query dimension mismatch");
-        }
-        let nq = queries.len();
-        if k == 0 || nq == 0 || self.rows.is_empty() {
-            return vec![Vec::new(); nq];
-        }
-        if nq == 1 {
-            // Contractually identical and skips the gather machinery.
-            return vec![self.top_k_budgeted(queries[0], k, budget, keep)];
-        }
-        // Invert the per-query probe prefixes into a list → queries
-        // map, then walk each probed list once: its (scattered) rows
-        // are gathered into a contiguous scratch a single time and
-        // scored against every query probing that list with the
-        // blocked kernel. Gather cost and `keep` evaluation amortize
-        // across the batch; per-query results are identical to the
-        // sequential `top_k_budgeted` because candidate sets come from
-        // the same prefixes and scores from the same kernel.
-        let need = budget.max(k);
-        let mut probing: Vec<Vec<u32>> = vec![Vec::new(); self.lists.len()];
-        for (qi, q) in queries.iter().enumerate() {
-            for c in self.probe_prefix(q, 1, need) {
-                probing[c].push(qi as u32);
-            }
-        }
-        let pool_k = self.pool_k(k);
-        let mut sels: Vec<TopKSelector> = (0..nq).map(|_| TopKSelector::new(pool_k)).collect();
-        // The gather scratch matches the store's row precision, so the
-        // batched path never transcodes: f16 lists gather as raw u16
-        // rows and score through the f16 kernel.
-        let mut gathered = self.rows.empty_like();
-        let mut kept_ids: Vec<u32> = Vec::new();
-        let mut scores: Vec<f32> = Vec::new();
-        let mut qrefs: Vec<&[f32]> = Vec::new();
-        // PQ: one ADC table per query, hoisted out of the list walk.
-        // The tables come from the primary store's codebooks; the
-        // gather scratch carries codes and geometry only.
-        let luts: Option<Vec<Vec<f32>>> = match self.rows.precision() {
-            RowPrecision::Pq { .. } => Some(
-                queries
-                    .iter()
-                    .map(|q| {
-                        self.rows
-                            .pq_lut(self.dim, q)
-                            .expect("pq storage always builds a lut")
-                    })
-                    .collect(),
-            ),
-            _ => None,
-        };
-        for (c, qis) in probing.iter().enumerate() {
-            if qis.is_empty() {
-                continue;
-            }
-            kept_ids.clear();
-            gathered.clear();
-            for &id in &self.lists[c] {
-                if keep(id) {
-                    kept_ids.push(id);
-                    gathered.push_row_from(&self.rows, self.dim, id);
-                }
-            }
-            if kept_ids.is_empty() {
-                continue;
-            }
-            qrefs.clear();
-            qrefs.extend(qis.iter().map(|&qi| queries[qi as usize]));
-            scores.resize(qis.len() * kept_ids.len(), 0.0);
-            match &luts {
-                Some(luts) => {
-                    // Same query-major score layout as gemv_range.
-                    for (j, &qi) in qis.iter().enumerate() {
-                        gathered.scan_pq_range(
-                            0..kept_ids.len(),
-                            &luts[qi as usize],
-                            &mut scores[j * kept_ids.len()..(j + 1) * kept_ids.len()],
-                        );
-                    }
-                }
-                None => gathered.gemv_range(
-                    self.dim,
-                    0..kept_ids.len(),
-                    &qrefs,
-                    &mut scores[..qis.len() * kept_ids.len()],
-                ),
-            }
-            for (j, &qi) in qis.iter().enumerate() {
-                let sel = &mut sels[qi as usize];
-                let row = &scores[j * kept_ids.len()..(j + 1) * kept_ids.len()];
-                for (&id, &score) in kept_ids.iter().zip(row) {
-                    sel.insert(id, score);
-                }
-            }
-        }
-        sels.into_iter()
-            .zip(queries)
-            .map(|(sel, q)| self.rerank(q, k, sel.into_sorted_hits()))
-            .collect()
     }
 }
 

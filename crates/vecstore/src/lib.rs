@@ -70,7 +70,7 @@
 //! are available — i.e. `ExactStore` at medium N, or any backend under
 //! heavy concurrent load.
 
-//! ## Blocked scans and batched queries
+//! ## Blocked scans
 //!
 //! All backends score through the `seesaw_linalg::kernels` primitives
 //! (one canonical accumulation order — which is what makes the
@@ -78,11 +78,9 @@
 //! scans walk the data in cache-sized row blocks, and bounded
 //! selection uses [`TopKSelector`] (a binary max-heap of the worst
 //! retained hit, O(log k) per candidate) instead of a sorted-buffer
-//! insert. Multi-query workloads should prefer
-//! [`VectorStore::top_k_many`], which scores a whole batch of queries
-//! in one pass over the data instead of re-reading the store once per
-//! query; each per-query result is identical to the equivalent
-//! [`VectorStore::top_k_budgeted`] call.
+//! insert. Every lookup is one query vector under one filter
+//! ([`VectorStore::top_k_budgeted`]) — the shape of the interactive
+//! loop, where each session brings its own "not yet shown" set.
 
 pub mod annoy;
 pub mod config;
@@ -174,31 +172,6 @@ pub trait VectorStore: Send + Sync {
         self.top_k_filtered(query, k, keep)
     }
 
-    /// Batched top-`k`: answer every query in `queries` at once, under
-    /// one candidate budget and one filter. Each entry of the result is
-    /// identical to calling [`Self::top_k_budgeted`] with the same
-    /// `k`/`budget`/`keep` — batching changes the *memory access
-    /// pattern*, never the answers. The exact, IVF, and sharded
-    /// backends override this to score a block of rows against all
-    /// queries while it is cache resident (one pass over the data
-    /// instead of `Q`); the default is the sequential per-query loop.
-    ///
-    /// `keep` must be a pure predicate: batched backends may evaluate
-    /// it once per row for the whole batch rather than once per
-    /// (row, query) pair.
-    fn top_k_many(
-        &self,
-        queries: &[&[f32]],
-        k: usize,
-        budget: usize,
-        keep: &KeepFn,
-    ) -> Vec<Vec<Hit>> {
-        queries
-            .iter()
-            .map(|q| self.top_k_budgeted(q, k, budget, keep))
-            .collect()
-    }
-
     /// Unfiltered top-`k`.
     fn top_k(&self, query: &[f32], k: usize) -> Vec<Hit> {
         self.top_k_filtered(query, k, &|_| true)
@@ -247,9 +220,9 @@ impl Ord for WorstFirst {
 /// against the heap root for a rejected candidate and O(log k) for an
 /// accepted one. Because the order is total over distinct ids, the
 /// retained set — and therefore the sorted output — is independent of
-/// insertion order, which is what lets batched scans feed one selector
-/// per query in any row order and still match the sequential scan
-/// bit for bit.
+/// insertion order, which is what lets the IVF probe walk and the
+/// sharded merge visit rows in any order and still match the
+/// sequential scan bit for bit.
 #[derive(Clone, Debug)]
 pub struct TopKSelector {
     k: usize,

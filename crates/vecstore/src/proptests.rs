@@ -193,39 +193,6 @@ proptest! {
         }
     }
 
-    /// Batched `top_k_many` equals the sequential per-query
-    /// `top_k_budgeted` loop — bit for bit — for every backend variant,
-    /// any candidate budget, and a filtered query set. This is the
-    /// contract that lets callers batch freely: batching changes the
-    /// memory access pattern, never the answers.
-    #[test]
-    fn top_k_many_equals_per_query_loop(
-        n in 10usize..120,
-        seed in 1100u64..1400,
-        k in 1usize..10,
-        nq in 1usize..5,
-        budget in 1usize..200,
-        modulus in 2u32..5,
-    ) {
-        let dim = 8;
-        let data = flat_unit_vectors(n, dim, seed);
-        let queries_data = flat_unit_vectors(nq, dim, seed ^ 0xbeef);
-        let queries: Vec<&[f32]> = queries_data.chunks_exact(dim).collect();
-        let keep = move |id: u32| id % modulus != 1;
-        for (name, store) in all_backends(dim, &data) {
-            let batched = store.top_k_many(&queries, k, budget, &keep);
-            prop_assert_eq!(batched.len(), nq, "{}", name);
-            for (q, hits) in queries.iter().zip(&batched) {
-                let sequential = store.top_k_budgeted(q, k, budget, &keep);
-                prop_assert_eq!(hits.len(), sequential.len(), "{}", name);
-                for (b, s) in hits.iter().zip(&sequential) {
-                    prop_assert_eq!(b.id, s.id, "{}", name);
-                    prop_assert_eq!(b.score.to_bits(), s.score.to_bits(), "{}", name);
-                }
-            }
-        }
-    }
-
     /// The k-way merge is invariant to how rows are assigned to shards:
     /// any partition of the data produces output bit-identical to the
     /// unsharded exact scan.

@@ -18,19 +18,16 @@ pub fn recall_at_k(
     if queries.is_empty() {
         return 1.0;
     }
-    // The exhaustive reference answers the whole query set in one
-    // batched pass over its data instead of being re-read per query
-    // (a full-budget batch is exactly the exhaustive scan). The
-    // approximate store keeps its per-query default knobs — that is
-    // the thing being measured.
-    let qrefs: Vec<&[f32]> = queries.iter().map(|q| q.as_slice()).collect();
-    let truth_all = exact.top_k_many(&qrefs, k, usize::MAX, &|_| true);
     let mut found = 0usize;
     let mut total = 0usize;
-    for (q, truth) in queries.iter().zip(&truth_all) {
+    for q in queries {
+        // The reference scans at full budget (exhaustive on every
+        // backend); the approximate store keeps its per-query default
+        // knobs — that is the thing being measured.
+        let truth = exact.top_k_budgeted(q, k, usize::MAX, &|_| true);
         let got = approx.top_k(q, k);
         total += truth.len();
-        for t in truth {
+        for t in &truth {
             if got.iter().any(|h| h.id == t.id) {
                 found += 1;
             }

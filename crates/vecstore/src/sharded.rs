@@ -159,64 +159,6 @@ impl<S: VectorStore> ShardedStore<S> {
         });
         merge_hits(&per_shard, k)
     }
-
-    /// Batched fan-out: every shard answers the whole query batch in
-    /// one dispatch (amortizing both the per-query thread spawn and —
-    /// via the backend's own [`VectorStore::top_k_many`] — the memory
-    /// pass over shard data), then each query's per-shard lists are
-    /// k-way merged exactly as in the single-query path.
-    fn fan_out_many(
-        &self,
-        queries: &[&[f32]],
-        k: usize,
-        budget: usize,
-        keep: &KeepFn,
-    ) -> Vec<Vec<Hit>> {
-        for q in queries {
-            assert_eq!(q.len(), self.dim, "query dimension mismatch");
-        }
-        let nq = queries.len();
-        if k == 0 || self.len == 0 || nq == 0 {
-            return vec![Vec::new(); nq];
-        }
-        if nq == 1 {
-            // Contractually identical; one query needs no batched path.
-            return vec![self.fan_out(queries[0], k, Some(budget), keep)];
-        }
-        let budget = budget.div_ceil(self.shards.len()).max(k);
-        let query_shard = |shard: &Shard<S>| -> Vec<Vec<Hit>> {
-            let ids = &shard.ids;
-            let local_keep = |local: u32| keep(ids[local as usize]);
-            let mut per_query = shard.store.top_k_many(queries, k, budget, &local_keep);
-            for hits in &mut per_query {
-                for h in hits.iter_mut() {
-                    h.id = ids[h.id as usize];
-                }
-            }
-            per_query
-        };
-        if self.shards.len() == 1 {
-            return query_shard(&self.shards[0]);
-        }
-        let query_shard = &query_shard;
-        let mut per_shard: Vec<Vec<Vec<Hit>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter()
-                .map(|shard| scope.spawn(move || query_shard(shard)))
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        (0..nq)
-            .map(|qi| {
-                let parts: Vec<Vec<Hit>> = per_shard
-                    .iter_mut()
-                    .map(|shard_results| std::mem::take(&mut shard_results[qi]))
-                    .collect();
-                merge_hits(&parts, k)
-            })
-            .collect()
-    }
 }
 
 impl<S: VectorStore> VectorStore for ShardedStore<S> {
@@ -234,16 +176,6 @@ impl<S: VectorStore> VectorStore for ShardedStore<S> {
 
     fn top_k_budgeted(&self, query: &[f32], k: usize, budget: usize, keep: &KeepFn) -> Vec<Hit> {
         self.fan_out(query, k, Some(budget), keep)
-    }
-
-    fn top_k_many(
-        &self,
-        queries: &[&[f32]],
-        k: usize,
-        budget: usize,
-        keep: &KeepFn,
-    ) -> Vec<Vec<Hit>> {
-        self.fan_out_many(queries, k, budget, keep)
     }
 }
 
@@ -407,29 +339,5 @@ mod tests {
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_panics() {
         let _ = sharded_exact(4, vec![], 0);
-    }
-
-    #[test]
-    fn batched_fan_out_matches_sequential_queries_bitwise() {
-        let dim = 8;
-        let data = random_data(120, dim, 9);
-        let queries_data: Vec<Vec<f32>> = {
-            let mut rng = StdRng::seed_from_u64(10);
-            (0..6).map(|_| random_unit_vector(&mut rng, dim)).collect()
-        };
-        let queries: Vec<&[f32]> = queries_data.iter().map(|v| v.as_slice()).collect();
-        let keep = |id: u32| id % 3 != 2;
-        for shards in [1usize, 2, 5] {
-            let sharded = sharded_exact(dim, data.clone(), shards);
-            let batched = sharded.top_k_many(&queries, 9, 40, &keep);
-            for (q, hits) in queries.iter().zip(&batched) {
-                let sequential = sharded.top_k_budgeted(q, 9, 40, &keep);
-                assert_eq!(hits.len(), sequential.len(), "{shards} shards");
-                for (b, s) in hits.iter().zip(&sequential) {
-                    assert_eq!(b.id, s.id, "{shards} shards");
-                    assert_eq!(b.score.to_bits(), s.score.to_bits(), "{shards} shards");
-                }
-            }
-        }
     }
 }

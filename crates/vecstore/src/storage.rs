@@ -50,7 +50,7 @@
 //!
 //! Every scoring path funnels through the canonical kernels
 //! (`seesaw_linalg::kernels`), so the cross-backend bit-identity
-//! guarantees (sharded ≡ unsharded, batched ≡ sequential) hold *per
+//! guarantees (sharded ≡ unsharded, loaded ≡ built) hold *per
 //! precision*: an f16 sharded store is bit-identical to the f16
 //! unsharded store, just not to the f32 one. (SQ8 is the one partial
 //! exception: per-shard rerank pools are computed per shard, so a
@@ -66,8 +66,7 @@
 use crate::diskindex::MappedSlice;
 use seesaw_linalg::{
     dot, dot_f16, dot_pq, dot_sq8, encode_f16, f32_from_f16, gemv1_f16_into, gemv1_into,
-    gemv1_sq8_into, gemv_f16_into, gemv_into, gemv_sq8_into, pq_lut_into, scan_pq_into,
-    squared_euclidean, PQ_LUT_STRIDE,
+    gemv1_sq8_into, pq_lut_into, scan_pq_into, squared_euclidean, PQ_LUT_STRIDE,
 };
 use std::ops::{Deref, Range};
 
@@ -100,8 +99,7 @@ pub const PQ_DEFAULT_M: usize = 8;
 pub const PQ_DEFAULT_NBITS: u32 = 8;
 
 /// A storage buffer that is either owned or a zero-copy view into an
-/// mmapped index file. Dereferences to `&[T]` either way; mutation
-/// (the gather-scratch paths) is only possible on owned buffers.
+/// mmapped index file. Dereferences to `&[T]` either way.
 #[derive(Clone, Debug)]
 pub enum Buf<T> {
     /// Heap-allocated, mutable (the build-in-RAM representation).
@@ -137,18 +135,6 @@ impl<T> Buf<T> {
     /// Whether this buffer is a mapped (zero-copy) view.
     pub fn is_mapped(&self) -> bool {
         matches!(self, Buf::Mapped(_))
-    }
-
-    /// Mutable access to the owned vector.
-    ///
-    /// # Panics
-    /// Panics on a mapped buffer — gather scratch is always owned.
-    #[inline]
-    fn as_mut_vec(&mut self) -> &mut Vec<T> {
-        match self {
-            Buf::Owned(v) => v,
-            Buf::Mapped(_) => panic!("cannot mutate mmap-backed row storage"),
-        }
     }
 }
 
@@ -264,9 +250,7 @@ pub struct Sq8Rows {
     codes: Buf<u8>,
     /// `(scale, offset)` interleaved, two `f32`s per row.
     params: Buf<f32>,
-    /// Exact f32 source rows, row-major — the rerank tier. Gather
-    /// scratch built by [`RowStorage::empty_like`] leaves this empty:
-    /// rerank always reads the *primary* storage by global id.
+    /// Exact f32 source rows, row-major — the rerank tier.
     source: Buf<f32>,
 }
 
@@ -362,11 +346,7 @@ pub struct PqRows {
     codes: Buf<u8>,
     /// `m` row-major `k × dsub` codebooks, back to back.
     codebooks: Buf<f32>,
-    /// Exact f32 source rows, row-major — the rerank tier. Gather
-    /// scratch built by [`RowStorage::empty_like`] leaves this (and
-    /// the codebooks) empty: rerank always reads the *primary*
-    /// storage, and gathered codes are scored through the caller's
-    /// prepared LUT.
+    /// Exact f32 source rows, row-major — the rerank tier.
     source: Buf<f32>,
 }
 
@@ -710,89 +690,6 @@ impl RowStorage {
         }
     }
 
-    /// An empty **owned** buffer of the same precision (gather
-    /// scratch). For SQ8 the scratch carries codes and params only;
-    /// for PQ it carries codes and the subspace geometry only (no
-    /// codebooks, no source) — rerank reads the primary storage, never
-    /// the scratch, and gathered PQ codes are scored through the
-    /// caller's prepared LUT.
-    pub fn empty_like(&self) -> Self {
-        match self {
-            RowStorage::F32(_) => RowStorage::F32(Vec::new().into()),
-            RowStorage::F16(_) => RowStorage::F16(Vec::new().into()),
-            RowStorage::Sq8(_) => RowStorage::Sq8(Sq8Rows {
-                codes: Vec::new().into(),
-                params: Vec::new().into(),
-                source: Vec::new().into(),
-            }),
-            RowStorage::Pq(p) => RowStorage::Pq(PqRows {
-                m: p.m,
-                nbits: p.nbits,
-                dsub: p.dsub,
-                codes: Vec::new().into(),
-                codebooks: Vec::new().into(),
-                source: Vec::new().into(),
-            }),
-        }
-    }
-
-    /// Drop all elements, keeping the allocation.
-    ///
-    /// # Panics
-    /// Panics on mmap-backed storage (gather scratch is always owned).
-    pub fn clear(&mut self) {
-        match self {
-            RowStorage::F32(d) => d.as_mut_vec().clear(),
-            RowStorage::F16(d) => d.as_mut_vec().clear(),
-            RowStorage::Sq8(q) => {
-                q.codes.as_mut_vec().clear();
-                q.params.as_mut_vec().clear();
-            }
-            RowStorage::Pq(p) => p.codes.as_mut_vec().clear(),
-        }
-    }
-
-    /// Append row `id` of `src` (same precision) to this buffer — the
-    /// gather primitive of the IVF batched scan. No transcoding ever
-    /// happens: gathering is a raw copy (codes + params for SQ8; the
-    /// rerank source is *not* gathered — see [`Self::empty_like`]).
-    ///
-    /// # Panics
-    /// Panics when the precisions differ, the row is out of bounds, or
-    /// `self` is mmap-backed.
-    pub fn push_row_from(&mut self, src: &RowStorage, dim: usize, id: u32) {
-        let i = id as usize * dim;
-        match (self, src) {
-            (RowStorage::F32(dst), RowStorage::F32(s)) => {
-                dst.as_mut_vec().extend_from_slice(&s[i..i + dim])
-            }
-            (RowStorage::F16(dst), RowStorage::F16(s)) => {
-                dst.as_mut_vec().extend_from_slice(&s[i..i + dim])
-            }
-            (RowStorage::Sq8(dst), RowStorage::Sq8(s)) => {
-                dst.codes
-                    .as_mut_vec()
-                    .extend_from_slice(&s.codes[i..i + dim]);
-                let p = id as usize * 2;
-                dst.params
-                    .as_mut_vec()
-                    .extend_from_slice(&s.params[p..p + 2]);
-            }
-            (RowStorage::Pq(dst), RowStorage::Pq(s)) => {
-                assert_eq!(
-                    (dst.m, dst.nbits),
-                    (s.m, s.nbits),
-                    "row-storage precision mismatch in gather"
-                );
-                let c = id as usize * s.m;
-                dst.codes
-                    .as_mut_vec()
-                    .extend_from_slice(&s.codes[c..c + s.m]);
-            }
-            _ => panic!("row-storage precision mismatch in gather"),
-        }
-    }
-
     /// Score one row against a query through the canonical kernel for
     /// this precision. For SQ8 and PQ this is the *quantized* score
     /// (the candidate-generation score); [`Self::rerank_dot_row`]
@@ -805,8 +702,7 @@ impl RowStorage {
     /// to this method).
     ///
     /// # Panics
-    /// Panics when the row is out of bounds, `query.len() != dim`, or
-    /// called on PQ gather scratch (which carries no codebooks).
+    /// Panics when the row is out of bounds or `query.len() != dim`.
     #[inline]
     pub fn dot_row(&self, dim: usize, id: u32, query: &[f32]) -> f32 {
         let i = id as usize * dim;
@@ -831,8 +727,7 @@ impl RowStorage {
     /// identical to [`Self::dot_row`].
     ///
     /// # Panics
-    /// Panics when the row is out of bounds, `query.len() != dim`, or
-    /// called on SQ8 gather scratch (which carries no source rows).
+    /// Panics when the row is out of bounds or `query.len() != dim`.
     #[inline]
     pub fn rerank_dot_row(&self, dim: usize, id: u32, query: &[f32]) -> f32 {
         match self {
@@ -851,22 +746,16 @@ impl RowStorage {
     /// Build the per-query ADC lookup table for a PQ store
     /// (`seesaw_linalg::pq_lut_into`); `None` for every other tier.
     /// The table feeds [`Self::dot_row_lut`] and
-    /// [`Self::scan_pq_range`], and is valid for gather scratch built
-    /// from the same store (scratch shares the geometry but carries no
-    /// codebooks of its own).
+    /// [`Self::scan_pq_range`].
     ///
     /// # Panics
-    /// Panics when `query.len() != dim`, `dim` disagrees with the PQ
-    /// geometry (`m × dsub`), or called on PQ gather scratch.
+    /// Panics when `query.len() != dim` or `dim` disagrees with the PQ
+    /// geometry (`m × dsub`).
     pub fn pq_lut(&self, dim: usize, query: &[f32]) -> Option<Vec<f32>> {
         match self {
             RowStorage::Pq(p) => {
                 assert_eq!(dim, p.m * p.dsub, "pq geometry disagrees with dim");
                 assert_eq!(query.len(), dim, "query dimension mismatch");
-                assert!(
-                    !p.codebooks.is_empty() || dim == 0,
-                    "pq gather scratch carries no codebooks; build the lut from the primary store"
-                );
                 let mut lut = vec![0.0f32; p.m * PQ_LUT_STRIDE];
                 pq_lut_into(&p.codebooks, p.m, p.k(), query, &mut lut);
                 Some(lut)
@@ -895,9 +784,7 @@ impl RowStorage {
 
     /// ADC scan of the PQ rows in `rows` against a prepared lookup
     /// table: `out[j] = score(rows.start + j)`. Bit-identical to
-    /// per-row [`Self::dot_row_lut`]; works on gather scratch (the
-    /// scratch shares the primary store's geometry, and the caller's
-    /// table was built from the primary store's codebooks).
+    /// per-row [`Self::dot_row_lut`].
     ///
     /// # Panics
     /// Panics on non-PQ storage or any shape mismatch
@@ -955,36 +842,12 @@ impl RowStorage {
         }
     }
 
-    /// Multi-query GEMV over the row range `rows`, query-major output
-    /// (`out[q·n + j]`, `n = rows.len()`).
-    ///
-    /// # Panics
-    /// Same shape contract as `seesaw_linalg::gemv_into`.
-    pub fn gemv_range(&self, dim: usize, rows: Range<usize>, queries: &[&[f32]], out: &mut [f32]) {
-        let elems = rows.start * dim..rows.end * dim;
-        match self {
-            RowStorage::F32(d) => gemv_into(&d[elems], dim, queries, out),
-            RowStorage::F16(d) => gemv_f16_into(&d[elems], dim, queries, out),
-            RowStorage::Sq8(q) => gemv_sq8_into(
-                &q.codes[elems],
-                dim,
-                &q.params[rows.start * 2..rows.end * 2],
-                queries,
-                out,
-            ),
-            RowStorage::Pq(_) => {
-                panic!("PQ scans require a prepared LUT: use pq_lut + scan_pq_range per query")
-            }
-        }
-    }
-
     /// Decode row `id` into an `f32` buffer — exact for every
     /// precision (f16 widening never rounds; SQ8 reads the retained
     /// source row, not the codes).
     ///
     /// # Panics
-    /// Panics when the row is out of bounds, `out.len() != dim`, or
-    /// called on SQ8 gather scratch.
+    /// Panics when the row is out of bounds or `out.len() != dim`.
     pub fn row_into(&self, dim: usize, id: u32, out: &mut [f32]) {
         assert_eq!(out.len(), dim, "row_into output length mismatch");
         let i = id as usize * dim;
@@ -1148,50 +1011,6 @@ mod tests {
         // Scores stay finite for the degenerate rows.
         assert!(st.dot_row(dim, 0, &query).is_finite());
         assert!(st.dot_row(dim, 1, &query).is_finite());
-    }
-
-    #[test]
-    fn gather_preserves_precision_and_scores() {
-        let (n, dim) = (10, 9);
-        let data = rows(n, dim, 5);
-        let q = random_unit_vector(&mut StdRng::seed_from_u64(6), dim);
-        for precision in [
-            RowPrecision::F32,
-            RowPrecision::F16,
-            RowPrecision::Sq8,
-            RowPrecision::Pq { m: 3, nbits: 3 },
-        ] {
-            let st = RowStorage::encode(precision, dim, data.clone());
-            let mut scratch = st.empty_like();
-            let ids = [7u32, 0, 3];
-            for &id in &ids {
-                scratch.push_row_from(&st, dim, id);
-            }
-            assert_eq!(scratch.precision(), precision);
-            let mut got = vec![0.0f32; ids.len()];
-            // PQ scratch carries codes only; it scans against a table
-            // built from the primary store's codebooks.
-            match st.pq_lut(dim, &q) {
-                Some(lut) => scratch.scan_pq_range(0..ids.len(), &lut, &mut got),
-                None => scratch.gemv1_range(dim, 0..ids.len(), &q, &mut got),
-            }
-            for (j, &id) in ids.iter().enumerate() {
-                assert_eq!(
-                    got[j].to_bits(),
-                    st.dot_row(dim, id, &q).to_bits(),
-                    "{}",
-                    precision.name()
-                );
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "precision mismatch")]
-    fn mixed_precision_gather_panics() {
-        let f32s = RowStorage::encode(RowPrecision::F32, 4, vec![1.0; 4]);
-        let mut f16s = RowStorage::encode(RowPrecision::F16, 4, vec![]);
-        f16s.push_row_from(&f32s, 4, 0);
     }
 
     #[test]

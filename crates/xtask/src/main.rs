@@ -92,13 +92,8 @@ fn lint_cmd(root: &Path, report: Option<&Path>) -> ExitCode {
 
     // E1 needs the cross-file env-use set and the README registry.
     let readme = fs::read_to_string(root.join("README.md")).unwrap_or_default();
-    let mut unused_registry = Vec::new();
     match rules::parse_registry(&readme) {
-        Some(registry) => {
-            let (e1, unused) = rules::check_env_registry(&env_uses, &registry);
-            findings.extend(e1);
-            unused_registry = unused;
-        }
+        Some(registry) => findings.extend(rules::check_env_registry(&env_uses, &registry)),
         None => findings.push(rules::Finding {
             rule: "E1",
             path: "README.md".to_string(),
@@ -121,11 +116,6 @@ fn lint_cmd(root: &Path, report: Option<&Path>) -> ExitCode {
     }
     for f in &allowed {
         out.push(f.render());
-    }
-    for name in &unused_registry {
-        out.push(format!(
-            "README.md: warning: registry entry `{name}` has no source read (stale?)"
-        ));
     }
     out.push(format!(
         "xtask lint: {} finding(s), {} suppressed via xtask-allow, {} file(s) scanned",
@@ -188,8 +178,6 @@ fn rust_sources(root: &Path) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeSet;
-
     #[test]
     fn default_root_is_a_workspace() {
         let root = default_root();
@@ -225,10 +213,8 @@ mod tests {
             }
         }
         let readme = fs::read_to_string(root.join("README.md")).expect("README.md");
-        let registry: BTreeSet<String> =
-            rules::parse_registry(&readme).expect("env registry markers in README.md");
-        let (e1, _unused) = rules::check_env_registry(&env_uses, &registry);
-        denied.extend(e1.into_iter().filter(|f| !f.allowed));
+        let registry = rules::parse_registry(&readme).expect("env registry markers in README.md");
+        denied.extend(rules::check_env_registry(&env_uses, &registry));
         let rendered: Vec<String> = denied.iter().map(|f| f.render()).collect();
         assert!(
             rendered.is_empty(),

@@ -9,7 +9,8 @@
 //! |      | `hit_order` module (the PR 5 NaN ranking bug class)                  |
 //! | F2   | `.unwrap()` / `.expect(..)` in server/service request-path modules   |
 //! | K1   | FMA intrinsics / `mul_add` in kernel backends (bit-identity contract)|
-//! | E1   | `SEESAW_*` env var read that is missing from the README registry     |
+//! | E1   | `SEESAW_*` env var read that is missing from the README registry,    |
+//! |      | or a registry row that no source reads any more                      |
 //!
 //! Any finding can be suppressed inline with `// xtask-allow: <rule>`
 //! on the same line or the line above; suppressions are counted and
@@ -317,14 +318,15 @@ impl FileLint {
 }
 
 /// E1: every `SEESAW_*` name read from source must appear in the
-/// README registry table; returns (findings, unused-registry-names).
+/// README registry table, and every registry row (name → README line)
+/// must still have a source read.
 pub fn check_env_registry(
     uses: &BTreeMap<String, (String, u32)>,
-    registry: &BTreeSet<String>,
-) -> (Vec<Finding>, Vec<String>) {
+    registry: &BTreeMap<String, u32>,
+) -> Vec<Finding> {
     let mut findings = Vec::new();
     for (name, (path, line)) in uses {
-        if !registry.contains(name) {
+        if !registry.contains_key(name) {
             findings.push(Finding {
                 rule: "E1",
                 path: path.clone(),
@@ -337,24 +339,34 @@ pub fn check_env_registry(
             });
         }
     }
-    let unused = registry
-        .iter()
-        .filter(|r| !uses.contains_key(*r))
-        .cloned()
-        .collect();
-    (findings, unused)
+    for (name, line) in registry {
+        if !uses.contains_key(name) {
+            findings.push(Finding {
+                rule: "E1",
+                path: "README.md".to_string(),
+                line: *line,
+                msg: format!("registry row `{name}` has no source read; delete the stale row"),
+                allowed: false,
+            });
+        }
+    }
+    findings
 }
 
 /// Parse the registry table out of README.md: every `SEESAW_*` name
-/// between the begin/end markers counts as registered.
-pub fn parse_registry(readme: &str) -> Option<BTreeSet<String>> {
+/// between the begin/end markers counts as registered, keyed to the
+/// 1-based README line of its first mention.
+pub fn parse_registry(readme: &str) -> Option<BTreeMap<String, u32>> {
     const BEGIN: &str = "<!-- xtask:env-registry:begin -->";
     const END: &str = "<!-- xtask:env-registry:end -->";
     let start = readme.find(BEGIN)? + BEGIN.len();
     let end = readme[start..].find(END)? + start;
-    let mut names = BTreeSet::new();
-    for name in extract_env_names(&readme[start..end]) {
-        names.insert(name);
+    let first_line = readme[..start].matches('\n').count() as u32 + 1;
+    let mut names = BTreeMap::new();
+    for (i, row) in readme[start..end].lines().enumerate() {
+        for name in extract_env_names(row) {
+            names.entry(name).or_insert(first_line + i as u32);
+        }
     }
     Some(names)
 }
@@ -696,11 +708,29 @@ mod tests {
         for (name, line) in fl.env_uses() {
             uses.insert(name, (fl.rel.clone(), line));
         }
-        let registry: BTreeSet<String> = ["SEESAW_SIMD".to_string()].into_iter().collect();
-        let (findings, unused) = check_env_registry(&uses, &registry);
+        let findings = check_env_registry(&uses, &BTreeMap::new());
         assert_eq!(findings.len(), 1);
         assert!(findings[0].msg.contains("SEESAW_FIXTURE_ONLY"));
-        assert_eq!(unused, vec!["SEESAW_SIMD".to_string()]);
+        assert_eq!(findings[0].path, "crates/server/src/bin/serve.rs");
+    }
+
+    #[test]
+    fn e1_denies_registry_rows_with_no_source_read() {
+        let readme = "x\n<!-- xtask:env-registry:begin -->\n| `SEESAW_SIMD` | ... |\n| `SEESAW_RETIRED` | ... |\n<!-- xtask:env-registry:end -->\n";
+        let registry = parse_registry(readme).expect("markers present");
+        let mut uses = BTreeMap::new();
+        uses.insert(
+            "SEESAW_SIMD".to_string(),
+            ("crates/linalg/src/simd/mod.rs".to_string(), 7),
+        );
+        let findings = check_env_registry(&uses, &registry);
+        assert_eq!(findings.len(), 1);
+        assert!(!findings[0].allowed);
+        assert!(findings[0].msg.contains("SEESAW_RETIRED"));
+        assert_eq!(
+            (findings[0].path.as_str(), findings[0].line),
+            ("README.md", 4)
+        );
     }
 
     #[test]
@@ -714,19 +744,18 @@ mod tests {
             uses.insert(name, (fl.rel.clone(), line));
         }
         assert!(uses.contains_key("SEESAW_SIMD"));
-        let registry: BTreeSet<String> = ["SEESAW_SIMD".to_string()].into_iter().collect();
-        let (findings, unused) = check_env_registry(&uses, &registry);
-        assert!(findings.is_empty());
-        assert!(unused.is_empty());
+        let registry: BTreeMap<String, u32> =
+            [("SEESAW_SIMD".to_string(), 1)].into_iter().collect();
+        assert!(check_env_registry(&uses, &registry).is_empty());
     }
 
     #[test]
     fn e1_registry_parses_markers() {
         let readme = "intro\n<!-- xtask:env-registry:begin -->\n| `SEESAW_SIMD` | ... |\n| `SEESAW_THREADS` | ... |\n<!-- xtask:env-registry:end -->\n| `SEESAW_NOT_IN_TABLE` | outside markers |\n";
         let reg = parse_registry(readme).expect("markers present");
-        assert!(reg.contains("SEESAW_SIMD"));
-        assert!(reg.contains("SEESAW_THREADS"));
-        assert!(!reg.contains("SEESAW_NOT_IN_TABLE"));
+        assert!(reg.contains_key("SEESAW_SIMD"));
+        assert!(reg.contains_key("SEESAW_THREADS"));
+        assert!(!reg.contains_key("SEESAW_NOT_IN_TABLE"));
         assert_eq!(parse_registry("no markers here"), None);
     }
 

@@ -101,28 +101,6 @@ fn sharded_exact_via_store_config_matches_too() {
 }
 
 #[test]
-fn batched_sharded_exact_is_bit_identical_to_exact() {
-    // The batched entry point preserves the PR 2 guarantee: one
-    // `top_k_many` call over a sharded-exact store answers every query
-    // bit-identically to the unsharded exact scan (and therefore to
-    // the per-query sequential loop).
-    let (n, dim) = (600usize, 16usize);
-    let data = random_data(n, dim, 51);
-    let exact = ExactStore::new(dim, data.clone());
-    let queries = random_queries(7, dim, 52);
-    let qrefs: Vec<&[f32]> = queries.iter().map(|q| q.as_slice()).collect();
-    let keep = |id: u32| id % 4 != 2;
-    for shards in [1usize, 2, 3, 7] {
-        let sharded = ShardedStore::build(dim, data.clone(), shards, ExactStore::new);
-        let batched = sharded.top_k_many(&qrefs, 11, usize::MAX, &keep);
-        for (qi, (q, got)) in qrefs.iter().zip(&batched).enumerate() {
-            let truth = exact.top_k_filtered(q, 11, &keep);
-            assert_bit_identical(&truth, got, &format!("batched shards={shards} q={qi}"));
-        }
-    }
-}
-
-#[test]
 fn sharded_f16_exact_is_bit_identical_to_unsharded_f16_exact() {
     // The shard-invariance contract holds *per precision*: the f16
     // sharded scan must reproduce the f16 unsharded scan bit for bit
@@ -278,8 +256,8 @@ fn mmap_loaded_stores_answer_bit_identically_to_in_ram_stores() {
     // The on-disk index contract: saving a store to the `SSAWIDX1`
     // format and mmap-loading it back must change *nothing* about its
     // answers — same ids, same score bits — for every backend at every
-    // precision, through both the single-query and batched entry
-    // points. (Backends without a zero-copy row layout — the RP forest
+    // precision, at the default and at full candidate budget.
+    // (Backends without a zero-copy row layout — the RP forest
     // and sharded stores — persist their raw rows and rebuild from the
     // saved seed, so the same guarantee holds through reconstruction.)
     use seesaw::vecstore::{load_store, save_store};
@@ -287,7 +265,6 @@ fn mmap_loaded_stores_answer_bit_identically_to_in_ram_stores() {
     let (n, dim) = (600usize, 16usize);
     let data = random_data(n, dim, 91);
     let queries = random_queries(6, dim, 92);
-    let qrefs: Vec<&[f32]> = queries.iter().map(|q| q.as_slice()).collect();
     let keep = |id: u32| id % 4 != 2;
     let configs = [
         ("exact", StoreConfig::exact()),
@@ -359,7 +336,7 @@ fn mmap_loaded_stores_answer_bit_identically_to_in_ram_stores() {
         let _ = std::fs::remove_file(&path);
         assert_eq!(built.len(), loaded.len(), "{label}: len");
         assert_eq!(built.dim(), loaded.dim(), "{label}: dim");
-        for (qi, q) in qrefs.iter().enumerate() {
+        for (qi, q) in queries.iter().enumerate() {
             for k in [1usize, 10, n + 5] {
                 assert_bit_identical(
                     &built.top_k(q, k),
@@ -372,11 +349,11 @@ fn mmap_loaded_stores_answer_bit_identically_to_in_ram_stores() {
                 &loaded.top_k_filtered(q, 9, &keep),
                 &format!("{label} filtered q={qi}"),
             );
-        }
-        let a = built.top_k_many(&qrefs, 11, usize::MAX, &keep);
-        let b = loaded.top_k_many(&qrefs, 11, usize::MAX, &keep);
-        for (qi, (x, y)) in a.iter().zip(&b).enumerate() {
-            assert_bit_identical(x, y, &format!("{label} batched q={qi}"));
+            assert_bit_identical(
+                &built.top_k_budgeted(q, 11, usize::MAX, &keep),
+                &loaded.top_k_budgeted(q, 11, usize::MAX, &keep),
+                &format!("{label} full-budget q={qi}"),
+            );
         }
     }
 }
