@@ -122,49 +122,7 @@ impl QueryAligner {
     /// With no feedback at all the solution is `q₀` itself (the CLIP
     /// prior is all the information there is), returned without solving.
     pub fn align(&self, examples: &[&[f32]], labels: &[bool]) -> Vec<f32> {
-        self.align_weighted(examples, labels, None)
-    }
-
-    /// [`Self::align_weighted`] returning solver diagnostics alongside
-    /// the query — used by latency studies and the micro benches to
-    /// check the paper's "a few tens of steps" claim directly.
-    pub fn align_detailed(
-        &self,
-        examples: &[&[f32]],
-        labels: &[bool],
-        weights: Option<&[f32]>,
-    ) -> AlignOutcome {
-        if examples.is_empty() {
-            return AlignOutcome {
-                query: self.q0.clone(),
-                iterations: 0,
-                converged: true,
-                loss: 0.0,
-            };
-        }
-        let loss = AlignerLoss {
-            examples,
-            labels,
-            weights,
-            q0: &self.q0,
-            lambda: self.config.lambda,
-            lambda_c: self.config.lambda_c,
-            lambda_d: self.config.lambda_d,
-            m_d: self.m_d.as_ref(),
-        };
-        let mut w: Vec<f64> = self.q0.iter().map(|&v| v as f64).collect();
-        let outcome = Lbfgs::new(self.config.solver.clone()).minimize(&loss, &mut w);
-        let w32: Vec<f32> = w.iter().map(|&v| v as f32).collect();
-        let mut query = normalized(&w32);
-        if query.iter().any(|v| !v.is_finite()) || query.iter().all(|&v| v == 0.0) {
-            query = self.q0.clone();
-        }
-        AlignOutcome {
-            query,
-            iterations: outcome.iterations,
-            converged: outcome.converged,
-            loss: outcome.value,
-        }
+        self.align_detailed(examples, labels, None).query
     }
 
     /// [`Self::align`] with optional per-example weights (the engine
@@ -176,12 +134,34 @@ impl QueryAligner {
         labels: &[bool],
         weights: Option<&[f32]>,
     ) -> Vec<f32> {
+        self.align_detailed(examples, labels, weights).query
+    }
+
+    /// [`Self::align_weighted`] returning solver diagnostics alongside
+    /// the query, to check the paper's "a few tens of steps" claim
+    /// directly. [`Self::align`] and [`Self::align_weighted`] return this
+    /// call's `query`, so every solve runs this body.
+    ///
+    /// # Panics
+    /// Panics when `labels` (or `weights`, if given) differ in length
+    /// from `examples`, or an example's dimension differs from `q₀`'s.
+    pub fn align_detailed(
+        &self,
+        examples: &[&[f32]],
+        labels: &[bool],
+        weights: Option<&[f32]>,
+    ) -> AlignOutcome {
         assert_eq!(examples.len(), labels.len(), "example/label mismatch");
         if let Some(w) = weights {
             assert_eq!(w.len(), labels.len(), "weight/label mismatch");
         }
         if examples.is_empty() {
-            return self.q0.clone();
+            return AlignOutcome {
+                query: self.q0.clone(),
+                iterations: 0,
+                converged: true,
+                loss: 0.0,
+            };
         }
         for (i, x) in examples.iter().enumerate() {
             assert_eq!(x.len(), self.q0.len(), "example {i} has wrong dimension");
@@ -199,15 +179,20 @@ impl QueryAligner {
         // Warm-start at q₀: with small feedback sets the solution stays
         // in its basin, and L-BFGS converges in a few tens of steps.
         let mut w: Vec<f64> = self.q0.iter().map(|&v| v as f64).collect();
-        let _outcome = Lbfgs::new(self.config.solver.clone()).minimize(&loss, &mut w);
+        let outcome = Lbfgs::new(self.config.solver.clone()).minimize(&loss, &mut w);
         let w32: Vec<f32> = w.iter().map(|&v| v as f32).collect();
-        let out = normalized(&w32);
-        if out.iter().any(|v| !v.is_finite()) || out.iter().all(|&v| v == 0.0) {
+        let mut query = normalized(&w32);
+        if query.iter().any(|v| !v.is_finite()) || query.iter().all(|&v| v == 0.0) {
             // Defensive fallback: never hand the vector store a broken
             // query.
-            return self.q0.clone();
+            query = self.q0.clone();
         }
-        out
+        AlignOutcome {
+            query,
+            iterations: outcome.iterations,
+            converged: outcome.converged,
+            loss: outcome.value,
+        }
     }
 }
 
@@ -394,6 +379,24 @@ mod tests {
         assert!(out.loss.is_finite());
         // Must agree with the plain API.
         assert_eq!(out.query, aligner.align(&refs, &labels));
+    }
+
+    #[test]
+    #[should_panic(expected = "example/label mismatch")]
+    fn align_detailed_rejects_short_label_list() {
+        let q0 = vec![1.0f32, 0.0, 0.0];
+        let (x1, x2) = (vec![0.0f32, 1.0, 0.0], vec![0.0f32, 0.0, 1.0]);
+        let aligner = QueryAligner::new(&q0, AlignerConfig::default());
+        let _ = aligner.align_detailed(&[&x1, &x2], &[true], None);
+    }
+
+    #[test]
+    #[should_panic(expected = "weight/label mismatch")]
+    fn align_detailed_rejects_short_weight_list() {
+        let q0 = vec![1.0f32, 0.0, 0.0];
+        let (x1, x2) = (vec![0.0f32, 1.0, 0.0], vec![0.0f32, 0.0, 1.0]);
+        let aligner = QueryAligner::new(&q0, AlignerConfig::default());
+        let _ = aligner.align_detailed(&[&x1, &x2], &[true, false], Some(&[1.0]));
     }
 
     #[test]

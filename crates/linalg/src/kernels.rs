@@ -2,10 +2,12 @@
 //! workspace, dispatched over runtime-detected SIMD tiers.
 //!
 //! Every inner product computed anywhere in the SeeSaw reproduction
-//! (vector-store scans, ENS priors, aligner quadratic forms, kNN
-//! builds) funnels through [`dot`], and the row scans funnel through
-//! [`gemv1_into`] (plus the `_f16`/`_sq8` variants for the compact row
-//! storage tiers). Centralizing the arithmetic buys:
+//! (vector-store scans, ENS priors, kNN builds) funnels through
+//! [`dot`], and the row scans funnel through [`gemv1_into`] (plus the
+//! `_f16`/`_sq8` variants for the compact row storage tiers). The
+//! aligner loss's f64 row work funnels through [`dot_rows_f64`] and
+//! [`axpy_rows_f64`] (last section below). Centralizing the arithmetic
+//! buys:
 //!
 //! 1. **Speed.** Each kernel executes on the best instruction-set tier
 //!    the CPU supports — explicit AVX2 (+F16C) on x86_64, NEON on
@@ -59,10 +61,32 @@
 //!   norm is at or below `f32::EPSILON` (no meaningful direction;
 //!   dividing by a denormal norm would overflow to ±∞), matching
 //!   [`crate::vector::normalize`] per row bit for bit.
+//!
+//! # f64-accumulating row kernels (the aligner loss)
+//!
+//! The aligner's L-BFGS solve works in `f64`, and **f64 accumulation is
+//! the aligner's contract**: its loss and gradient are never rounded
+//! through `f32`. Two kernels carry its row work over borrowed `f32`
+//! rows (`&[&[f32]]`, so feedback examples need no gathering copy):
+//!
+//! * [`dot_rows_f64`] — `Xw`: `out[r] = rows[r] · w`. Each row element
+//!   is widened exactly to `f64`, and each score is summed in the
+//!   canonical order above carried out in `f64`: eight lane
+//!   accumulators, separate multiply and add, the same
+//!   `((l0+l4)+(l1+l5)) + ((l2+l6)+(l3+l7))` tree, then the tail
+//!   left-to-right.
+//! * [`axpy_rows_f64`] — `Xᵀr`: `acc += Σᵢ coeffs[i] · rows[i]`, with
+//!   every element of `acc` receiving its additions in row order
+//!   (`acc[j] += c·x[j]`, separate multiply and add). That is
+//!   bit-identical to the plain per-row loop.
+//!
+//! Both are bitwise identical across tiers. They have scalar and AVX2
+//! backends; NEON runs the scalar reference.
 
 use crate::simd::{
-    active_tier, dispatch_dot, dispatch_dot_f16, dispatch_dot_pq, dispatch_dot_sq8, dispatch_gemv1,
-    dispatch_gemv1_f16, dispatch_gemv1_sq8, dispatch_scan_pq, Tier,
+    active_tier, dispatch_axpy_rows_f64, dispatch_dot, dispatch_dot_f16, dispatch_dot_pq,
+    dispatch_dot_rows_f64, dispatch_dot_sq8, dispatch_gemv1, dispatch_gemv1_f16,
+    dispatch_gemv1_sq8, dispatch_scan_pq, Tier,
 };
 
 pub use crate::simd::PQ_LUT_STRIDE;
@@ -248,6 +272,50 @@ pub fn gemv1_sq8_into_with(
     assert_eq!(query.len(), dim, "query dimension mismatch");
     assert_eq!(out.len(), codes.len() / dim, "output length mismatch");
     dispatch_gemv1_sq8(tier, codes, dim, params, query, out);
+}
+
+/// Multi-row f64 GEMV over `f32` rows (`Xw`): `out[r] = rows[r] · w`,
+/// each row widened exactly to `f64` and summed in the canonical
+/// eight-lane order in `f64` (see the module docs). This is a
+/// different kernel from [`gemv1_into`], which accumulates in `f32`.
+///
+/// # Panics
+/// Panics in every build when `out.len() != rows.len()` or any row's
+/// length differs from `w.len()`.
+pub fn dot_rows_f64(rows: &[&[f32]], w: &[f64], out: &mut [f64]) {
+    dot_rows_f64_with(active_tier(), rows, w, out)
+}
+
+/// [`dot_rows_f64`] on an explicit tier. Same contracts.
+pub fn dot_rows_f64_with(tier: Tier, rows: &[&[f32]], w: &[f64], out: &mut [f64]) {
+    assert_eq!(out.len(), rows.len(), "output length mismatch");
+    assert!(
+        rows.iter().all(|row| row.len() == w.len()),
+        "dot length mismatch"
+    );
+    dispatch_dot_rows_f64(tier, rows, w, out);
+}
+
+/// Transposed multi-row update over `f32` rows (`Xᵀr`):
+/// `acc += Σᵢ coeffs[i] · rows[i]` in `f64`, each element of `acc`
+/// receiving its additions in row order — bit-identical to looping
+/// `acc[j] += coeffs[i] * rows[i][j] as f64` row by row.
+///
+/// # Panics
+/// Panics in every build when `coeffs.len() != rows.len()` or any row's
+/// length differs from `acc.len()`.
+pub fn axpy_rows_f64(rows: &[&[f32]], coeffs: &[f64], acc: &mut [f64]) {
+    axpy_rows_f64_with(active_tier(), rows, coeffs, acc)
+}
+
+/// [`axpy_rows_f64`] on an explicit tier. Same contracts.
+pub fn axpy_rows_f64_with(tier: Tier, rows: &[&[f32]], coeffs: &[f64], acc: &mut [f64]) {
+    assert_eq!(coeffs.len(), rows.len(), "coefficient length mismatch");
+    assert!(
+        rows.iter().all(|row| row.len() == acc.len()),
+        "axpy length mismatch"
+    );
+    dispatch_axpy_rows_f64(tier, rows, coeffs, acc);
 }
 
 /// Build the per-query PQ (product-quantization) lookup table for ADC
@@ -559,6 +627,35 @@ mod tests {
         for r in 0..n {
             let reference = dot_pq(&codes[r * m..(r + 1) * m], &lut);
             assert_eq!(out[r].to_bits(), reference.to_bits(), "row {r}");
+        }
+    }
+
+    #[test]
+    fn dot_rows_f64_sums_in_the_canonical_order() {
+        // dim 21 = two eight-lane chunks plus a five-element tail; five
+        // rows = one four-row block plus a remainder row.
+        let dim = 21;
+        let flat = random_rows(5, dim, 41);
+        let rows: Vec<&[f32]> = flat.chunks_exact(dim).collect();
+        let w: Vec<f64> = random_rows(1, dim, 42)
+            .iter()
+            .map(|&v| v as f64 * 1.7)
+            .collect();
+        let mut out = vec![0.0f64; rows.len()];
+        dot_rows_f64(&rows, &w, &mut out);
+        for (row, got) in rows.iter().zip(&out) {
+            let mut lane = [0.0f64; LANES];
+            for (j, (&x, &wj)) in row.iter().zip(&w).take(2 * LANES).enumerate() {
+                lane[j % LANES] += x as f64 * wj;
+            }
+            let mut tail = 0.0f64;
+            for (&x, &wj) in row.iter().zip(&w).skip(2 * LANES) {
+                tail += x as f64 * wj;
+            }
+            let want = ((lane[0] + lane[4]) + (lane[1] + lane[5]))
+                + ((lane[2] + lane[6]) + (lane[3] + lane[7]))
+                + tail;
+            assert_eq!(got.to_bits(), want.to_bits());
         }
     }
 

@@ -470,6 +470,79 @@ proptest! {
     }
 
     #[test]
+    fn every_tier_dot_rows_f64_is_bitwise_equal_to_scalar(
+        dim in lane_edge_len(), // dim == 0 included
+        n in 0usize..10, // full 4-row blocks and every remainder
+        seed in 0u64..u64::MAX,
+    ) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let rows: Vec<Vec<f32>> = (0..n)
+            .map(|_| (0..dim).map(|_| rng.gen_range(-5.0f32..5.0)).collect())
+            .collect();
+        let rows: Vec<&[f32]> = rows.iter().map(|r| r.as_slice()).collect();
+        let w: Vec<f64> = (0..dim).map(|_| rng.gen_range(-5.0f64..5.0)).collect();
+        let mut reference = vec![f64::NAN; n];
+        kernels::dot_rows_f64_with(Tier::Scalar, &rows, &w, &mut reference);
+        for tier in available_tiers() {
+            let mut got = vec![f64::NAN; n];
+            kernels::dot_rows_f64_with(tier, &rows, &w, &mut got);
+            for r in 0..n {
+                prop_assert_eq!(
+                    got[r].to_bits(), reference[r].to_bits(),
+                    "dot_rows_f64 dim {} n {} row {} tier {}", dim, n, r, tier.name()
+                );
+            }
+        }
+        let mut active = vec![f64::NAN; n];
+        kernels::dot_rows_f64(&rows, &w, &mut active);
+        for r in 0..n {
+            prop_assert_eq!(active[r].to_bits(), reference[r].to_bits());
+        }
+    }
+
+    #[test]
+    fn every_tier_axpy_rows_f64_is_the_sequential_row_loop_bitwise(
+        dim in lane_edge_len(),
+        n in 0usize..10,
+        seed in 0u64..u64::MAX,
+    ) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let rows: Vec<Vec<f32>> = (0..n)
+            .map(|_| (0..dim).map(|_| rng.gen_range(-5.0f32..5.0)).collect())
+            .collect();
+        let rows: Vec<&[f32]> = rows.iter().map(|r| r.as_slice()).collect();
+        // Zero and negative coefficients both occur.
+        let coeffs: Vec<f64> = (0..n)
+            .map(|_| if rng.gen_range(0..4) == 0 { 0.0 } else { rng.gen_range(-3.0f64..3.0) })
+            .collect();
+        let start: Vec<f64> = (0..dim).map(|_| rng.gen_range(-1.0f64..1.0)).collect();
+        // The sequential per-row loop the kernel must reproduce exactly.
+        let mut reference = start.clone();
+        for (row, &c) in rows.iter().zip(&coeffs) {
+            for (a, &x) in reference.iter_mut().zip(row.iter()) {
+                *a += c * x as f64;
+            }
+        }
+        for tier in available_tiers() {
+            let mut got = start.clone();
+            kernels::axpy_rows_f64_with(tier, &rows, &coeffs, &mut got);
+            for j in 0..dim {
+                prop_assert_eq!(
+                    got[j].to_bits(), reference[j].to_bits(),
+                    "axpy_rows_f64 dim {} n {} elem {} tier {}", dim, n, j, tier.name()
+                );
+            }
+        }
+        let mut active = start;
+        kernels::axpy_rows_f64(&rows, &coeffs, &mut active);
+        for j in 0..dim {
+            prop_assert_eq!(active[j].to_bits(), reference[j].to_bits());
+        }
+    }
+
+    #[test]
     fn dense_transpose_matvec_adjoint(
         data in proptest::collection::vec(-3.0f32..3.0, 12),
         x in small_vec(3),
@@ -483,4 +556,39 @@ proptest! {
         let rhs = dot(&x, &aty);
         prop_assert!((lhs - rhs).abs() < 1e-2 * (1.0 + lhs.abs()), "{lhs} vs {rhs}");
     }
+}
+
+// Shape mismatches in the f64 row kernels panic in every build, on
+// every tier, like `dot`'s.
+
+#[test]
+#[should_panic(expected = "dot length mismatch")]
+fn dot_rows_f64_rejects_a_short_row() {
+    let (a, b) = ([1.0f32; 9], [1.0f32; 8]);
+    let mut out = [0.0f64; 2];
+    kernels::dot_rows_f64_with(Tier::Scalar, &[&a, &b], &[1.0; 9], &mut out);
+}
+
+#[test]
+#[should_panic(expected = "output length mismatch")]
+fn dot_rows_f64_rejects_a_wrong_output_length() {
+    let a = [1.0f32; 8];
+    let mut out = [0.0f64; 2];
+    kernels::dot_rows_f64(&[&a], &[1.0; 8], &mut out);
+}
+
+#[test]
+#[should_panic(expected = "axpy length mismatch")]
+fn axpy_rows_f64_rejects_a_short_row() {
+    let (a, b) = ([1.0f32; 9], [1.0f32; 8]);
+    let mut acc = [0.0f64; 9];
+    kernels::axpy_rows_f64(&[&a, &b], &[1.0, 1.0], &mut acc);
+}
+
+#[test]
+#[should_panic(expected = "coefficient length mismatch")]
+fn axpy_rows_f64_rejects_a_wrong_coefficient_count() {
+    let a = [1.0f32; 8];
+    let mut acc = [0.0f64; 8];
+    kernels::axpy_rows_f64_with(Tier::Scalar, &[&a], &[1.0, 2.0], &mut acc);
 }

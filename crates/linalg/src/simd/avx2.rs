@@ -21,6 +21,11 @@
 //! speedup over the auto-vectorized scalar path comes from — without
 //! touching any per-score operation order.
 //!
+//! The f64-accumulating row kernels of the aligner loss widen four
+//! `f32` row elements at a time to `f64` (`VCVTPS2PD`, exact) and keep
+//! the eight canonical lanes in two `__m256d` registers (lanes 0–3 and
+//! 4–7), again with separate multiply and add.
+//!
 //! Dispatched only when `is_x86_feature_detected!` confirms both
 //! `avx2` and `f16c` (see [`super::tier_supported`]).
 #![allow(unsafe_code)] // std::arch intrinsics: soundness argued at the dispatch site (simd/mod.rs).
@@ -440,5 +445,155 @@ pub(crate) unsafe fn gemv1_sq8(
             query,
         );
         r += 1;
+    }
+}
+
+/// Spill an f64 lane-accumulator pair (lanes 0–3, 4–7) and apply the
+/// canonical reduction.
+// SAFETY: the two unaligned 256-bit stores write lanes 0..4 and 4..8 of
+// a stack array of exactly LANES (8) f64, so both are in-bounds; AVX2
+// is guaranteed by every caller's dispatch check.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn reduce_f64(lo: __m256d, hi: __m256d, tail: f64) -> f64 {
+    let mut lanes = [0.0f64; LANES];
+    _mm256_storeu_pd(lanes.as_mut_ptr(), lo);
+    _mm256_storeu_pd(lanes.as_mut_ptr().add(4), hi);
+    combine(lanes, tail)
+}
+
+/// Load four `f32` and widen them to `f64` (`VCVTPS2PD`; exact).
+// SAFETY: callers pass `p` pointing at >= 4 readable f32 (the chunk
+// loops stop at len / 4 or len / LANES), and `_mm_loadu_ps` has no
+// alignment requirement; AVX2 is guaranteed by the dispatch check.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn load_widen(p: *const f32) -> __m256d {
+    _mm256_cvtps_pd(_mm_loadu_ps(p))
+}
+
+/// Canonical f64 inner product of one `f32` row against `w`.
+///
+/// # Safety
+/// Requires AVX2; `row.len() == w.len()` must hold.
+// SAFETY: loads at `i * LANES` and `i * LANES + 4` with
+// `i < len / LANES` read four elements each, inside the equal-length
+// slices; AVX2 is verified at dispatch.
+#[target_feature(enable = "avx2")]
+unsafe fn dot_f64(row: &[f32], w: &[f64]) -> f64 {
+    debug_assert_eq!(row.len(), w.len());
+    let chunks = row.len() / LANES;
+    let (pr, pw) = (row.as_ptr(), w.as_ptr());
+    let mut lo = _mm256_setzero_pd();
+    let mut hi = _mm256_setzero_pd();
+    for i in 0..chunks {
+        let off = i * LANES;
+        lo = _mm256_add_pd(
+            lo,
+            _mm256_mul_pd(load_widen(pr.add(off)), _mm256_loadu_pd(pw.add(off))),
+        );
+        hi = _mm256_add_pd(
+            hi,
+            _mm256_mul_pd(
+                load_widen(pr.add(off + 4)),
+                _mm256_loadu_pd(pw.add(off + 4)),
+            ),
+        );
+    }
+    let mut tail = 0.0f64;
+    for i in chunks * LANES..row.len() {
+        tail += row[i] as f64 * w[i];
+    }
+    reduce_f64(lo, hi, tail)
+}
+
+/// `out[r] = rows[r] · w` in f64, four rows in flight.
+///
+/// # Safety
+/// Requires AVX2; `rows.len() == out.len()` and every
+/// `rows[r].len() == w.len()` must hold.
+// SAFETY: `p0..p3` point at rows `r..r + ROW_GROUP` with
+// `r + ROW_GROUP <= n`, each of length `w.len()` per the asserted
+// contract, and every in-row load reads four elements at an offset
+// `< chunks * LANES <= w.len()`; AVX2 is verified at dispatch.
+#[target_feature(enable = "avx2")]
+pub(crate) unsafe fn dot_rows_f64(rows: &[&[f32]], w: &[f64], out: &mut [f64]) {
+    debug_assert_eq!(rows.len(), out.len());
+    let (n, dim) = (rows.len(), w.len());
+    let chunks = dim / LANES;
+    let pw = w.as_ptr();
+    let mut r = 0;
+    while r + ROW_GROUP <= n {
+        let (p0, p1) = (rows[r].as_ptr(), rows[r + 1].as_ptr());
+        let (p2, p3) = (rows[r + 2].as_ptr(), rows[r + 3].as_ptr());
+        let (mut lo0, mut hi0) = (_mm256_setzero_pd(), _mm256_setzero_pd());
+        let (mut lo1, mut hi1) = (_mm256_setzero_pd(), _mm256_setzero_pd());
+        let (mut lo2, mut hi2) = (_mm256_setzero_pd(), _mm256_setzero_pd());
+        let (mut lo3, mut hi3) = (_mm256_setzero_pd(), _mm256_setzero_pd());
+        for i in 0..chunks {
+            let off = i * LANES;
+            let wlo = _mm256_loadu_pd(pw.add(off));
+            let whi = _mm256_loadu_pd(pw.add(off + 4));
+            lo0 = _mm256_add_pd(lo0, _mm256_mul_pd(load_widen(p0.add(off)), wlo));
+            hi0 = _mm256_add_pd(hi0, _mm256_mul_pd(load_widen(p0.add(off + 4)), whi));
+            lo1 = _mm256_add_pd(lo1, _mm256_mul_pd(load_widen(p1.add(off)), wlo));
+            hi1 = _mm256_add_pd(hi1, _mm256_mul_pd(load_widen(p1.add(off + 4)), whi));
+            lo2 = _mm256_add_pd(lo2, _mm256_mul_pd(load_widen(p2.add(off)), wlo));
+            hi2 = _mm256_add_pd(hi2, _mm256_mul_pd(load_widen(p2.add(off + 4)), whi));
+            lo3 = _mm256_add_pd(lo3, _mm256_mul_pd(load_widen(p3.add(off)), wlo));
+            hi3 = _mm256_add_pd(hi3, _mm256_mul_pd(load_widen(p3.add(off + 4)), whi));
+        }
+        let (mut t0, mut t1, mut t2, mut t3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
+        for i in chunks * LANES..dim {
+            let wi = w[i];
+            t0 += *p0.add(i) as f64 * wi;
+            t1 += *p1.add(i) as f64 * wi;
+            t2 += *p2.add(i) as f64 * wi;
+            t3 += *p3.add(i) as f64 * wi;
+        }
+        out[r] = reduce_f64(lo0, hi0, t0);
+        out[r + 1] = reduce_f64(lo1, hi1, t1);
+        out[r + 2] = reduce_f64(lo2, hi2, t2);
+        out[r + 3] = reduce_f64(lo3, hi3, t3);
+        r += ROW_GROUP;
+    }
+    while r < n {
+        out[r] = dot_f64(rows[r], w);
+        r += 1;
+    }
+}
+
+/// `acc += Σᵢ coeffs[i] · rows[i]`, four `acc` elements per register,
+/// one row at a time so each element's additions stay in row order.
+///
+/// # Safety
+/// Requires AVX2; `rows.len() == coeffs.len()` and every
+/// `rows[i].len() == acc.len()` must hold.
+// SAFETY: every load/store reads or writes four elements at an offset
+// `< quads * 4 <= acc.len()`, inside `acc` and inside each row (whose
+// length equals `acc.len()` per the asserted contract); the tail
+// indexes the same bounds one element at a time. `pa` is the only
+// access path to `acc` for the whole loop; AVX2 is verified at
+// dispatch.
+#[target_feature(enable = "avx2")]
+pub(crate) unsafe fn axpy_rows_f64(rows: &[&[f32]], coeffs: &[f64], acc: &mut [f64]) {
+    debug_assert_eq!(rows.len(), coeffs.len());
+    let dim = acc.len();
+    let quads = dim / 4;
+    let pa = acc.as_mut_ptr();
+    for (row, &c) in rows.iter().zip(coeffs) {
+        let pr = row.as_ptr();
+        let cv = _mm256_set1_pd(c);
+        for i in 0..quads {
+            let off = i * 4;
+            let sum = _mm256_add_pd(
+                _mm256_loadu_pd(pa.add(off)),
+                _mm256_mul_pd(cv, load_widen(pr.add(off))),
+            );
+            _mm256_storeu_pd(pa.add(off), sum);
+        }
+        for j in quads * 4..dim {
+            *pa.add(j) += c * *pr.add(j) as f64;
+        }
     }
 }

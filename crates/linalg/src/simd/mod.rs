@@ -1,7 +1,10 @@
 //! Runtime-dispatched SIMD backends for the scoring kernels.
 //!
-//! Three tiers implement the same kernel set (`dot`, single/multi-query
-//! GEMV, their f16- and sq8-row variants, and the PQ ADC scan):
+//! Three tiers implement the same kernel set (`dot`, single-query GEMV,
+//! its f16- and sq8-row variants, and the PQ ADC scan); the two
+//! f64-accumulating row kernels of the aligner loss (`dot_rows_f64`,
+//! `axpy_rows_f64`) have scalar and AVX2 backends, and NEON runs the
+//! scalar reference for them:
 //!
 //! * [`Tier::Scalar`] — the portable lane-unrolled reference (the
 //!   `scalar` submodule). This is the *bit-exactness reference*: the
@@ -36,6 +39,7 @@
 //! in-process with [`force_tier`] and enumerate what the host supports
 //! with [`available_tiers`].
 
+use std::ops::Add;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Accumulator lanes in the canonical dot product. Eight `f32` lanes
@@ -60,9 +64,10 @@ pub(crate) mod neon;
 /// The fixed lane-reduction tree of the workspace: how the eight lane
 /// accumulators and the scalar tail combine into the final score. Part
 /// of the kernel contract (see [`crate::kernels`]); every tier funnels
-/// through this exact expression.
+/// through this exact expression, in `f32` for the scoring kernels and in
+/// `f64` for the aligner's row kernels.
 #[inline]
-pub(crate) fn combine(acc: [f32; LANES], tail: f32) -> f32 {
+pub(crate) fn combine<T: Copy + Add<Output = T>>(acc: [T; LANES], tail: T) -> T {
     ((acc[0] + acc[4]) + (acc[1] + acc[5])) + ((acc[2] + acc[6]) + (acc[3] + acc[7])) + tail
 }
 
@@ -320,6 +325,36 @@ pub(crate) fn dispatch_gemv1_sq8(
     out: &mut [f32],
 ) {
     dispatch!(tier, gemv1_sq8(codes, dim, params, query, out))
+}
+
+// The two f64-accumulating row kernels have no NEON backend: NEON
+// forwards to the scalar reference, which is bit-identical by
+// construction.
+
+#[allow(unsafe_code)] // feature-checked dispatch: see the Safety note above.
+#[inline]
+pub(crate) fn dispatch_dot_rows_f64(tier: Tier, rows: &[&[f32]], w: &[f64], out: &mut [f64]) {
+    match effective(tier) {
+        // SAFETY: reachable only after `effective` confirmed AVX2 on
+        // this process; shape preconditions are asserted by the public
+        // wrapper before dispatch.
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx2 => unsafe { avx2::dot_rows_f64(rows, w, out) },
+        _ => scalar::dot_rows_f64(rows, w, out),
+    }
+}
+
+#[allow(unsafe_code)] // feature-checked dispatch: see the Safety note above.
+#[inline]
+pub(crate) fn dispatch_axpy_rows_f64(tier: Tier, rows: &[&[f32]], coeffs: &[f64], acc: &mut [f64]) {
+    match effective(tier) {
+        // SAFETY: reachable only after `effective` confirmed AVX2 on
+        // this process; shape preconditions are asserted by the public
+        // wrapper before dispatch.
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx2 => unsafe { avx2::axpy_rows_f64(rows, coeffs, acc) },
+        _ => scalar::axpy_rows_f64(rows, coeffs, acc),
+    }
 }
 
 #[cfg(test)]

@@ -142,3 +142,45 @@ pub(crate) fn gemv1_sq8(codes: &[u8], dim: usize, params: &[f32], query: &[f32],
         *o = dot_sq8(row, params[2 * r], params[2 * r + 1], query);
     }
 }
+
+/// Canonical f64 inner product of an `f32` row against an `f64` vector:
+/// each row element is widened exactly to `f64`, then the order of
+/// [`dot`] — eight lane accumulators, separate multiply and add
+/// roundings, the [`combine`] tree, a left-to-right tail — in `f64`.
+fn dot_f64(row: &[f32], w: &[f64]) -> f64 {
+    debug_assert_eq!(row.len(), w.len());
+    let mut acc = [0.0f64; LANES];
+    let mut cr = row.chunks_exact(LANES);
+    let mut cw = w.chunks_exact(LANES);
+    for (xr, xw) in (&mut cr).zip(&mut cw) {
+        for l in 0..LANES {
+            acc[l] += xr[l] as f64 * xw[l];
+        }
+    }
+    let mut tail = 0.0f64;
+    for (x, y) in cr.remainder().iter().zip(cw.remainder()) {
+        tail += *x as f64 * y;
+    }
+    combine(acc, tail)
+}
+
+/// `out[r] = rows[r] · w`, each score by [`dot_f64`].
+pub(crate) fn dot_rows_f64(rows: &[&[f32]], w: &[f64], out: &mut [f64]) {
+    debug_assert_eq!(rows.len(), out.len());
+    for (o, row) in out.iter_mut().zip(rows) {
+        *o = dot_f64(row, w);
+    }
+}
+
+/// `acc += Σᵢ coeffs[i] · rows[i]`: one row at a time, so each element
+/// of `acc` receives its additions in row order (`acc[j] += c · x[j]`,
+/// the row element widened exactly to `f64`, separate multiply and add
+/// roundings).
+pub(crate) fn axpy_rows_f64(rows: &[&[f32]], coeffs: &[f64], acc: &mut [f64]) {
+    debug_assert_eq!(rows.len(), coeffs.len());
+    for (row, &c) in rows.iter().zip(coeffs) {
+        for (a, &x) in acc.iter_mut().zip(row.iter()) {
+            *a += c * x as f64;
+        }
+    }
+}
