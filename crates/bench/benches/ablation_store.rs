@@ -7,13 +7,10 @@
 //! 1. recall@10 and per-lookup latency of every backend (exact scan,
 //!    RP forest, IVF — the dense backends at `f32`, `f16`, and `sq8`
 //!    row storage) against the exact scan;
-//! 2. wall-clock speedup of sharded exact search over the unsharded
-//!    scan at 1/2/4/8 shards (the parallelism layer's headline number —
-//!    expect ≈ linear scaling up to the machine's core count);
-//! 3. end-to-end SeeSaw mAP per backend at the default budget;
-//! 4. end-to-end SeeSaw mAP as a function of the candidate budget
+//! 2. end-to-end SeeSaw mAP per backend at the default budget;
+//! 3. end-to-end SeeSaw mAP as a function of the candidate budget
 //!    (`search_k`) on the default backend;
-//! 5. the **quantization sweep**: memory × recall × latency for every
+//! 4. the **quantization sweep**: memory × recall × latency for every
 //!    precision (f32, f16, sq8, pq) on the dense-row backends, written
 //!    to `BENCH_quant.json` at the repo root (override with
 //!    `SEESAW_QUANT_OUT`) so CI can track the trade-off over time. The
@@ -116,40 +113,6 @@ fn main() {
     }
     println!("{recall_table}");
 
-    // --- sharded exact scan: wall-clock vs shard count ---------------
-    let mut shard_table =
-        TableBuilder::new("Sharded exact scan wall-clock (bit-identical results)").header([
-            "shards",
-            "lookup µs",
-            "speedup",
-        ]);
-    let mut base_us = 0.0f64;
-    for shards in [1usize, 2, 4, 8] {
-        let store = StoreConfig::exact()
-            .with_shards(shards)
-            .build(idx.dim, data.clone());
-        // Warm-up pass, then timed passes over all queries.
-        for q in &queries {
-            let _ = store.top_k(q, 10);
-        }
-        let t0 = Instant::now();
-        for _ in 0..3 {
-            for q in &queries {
-                let _ = store.top_k(q, 10);
-            }
-        }
-        let us = t0.elapsed().as_micros() as f64 / (3 * queries.len()) as f64;
-        if shards == 1 {
-            base_us = us;
-        }
-        shard_table.row([
-            shards.to_string(),
-            format!("{us:.0}"),
-            format!("{:.2}x", base_us / us.max(1.0)),
-        ]);
-    }
-    println!("{shard_table}");
-
     // --- end-to-end mAP per backend ----------------------------------
     let mut backend_ap = TableBuilder::new("SeeSaw mAP per store backend (default budget)")
         .header(["backend", "mAP"]);
@@ -202,8 +165,7 @@ fn main() {
 
     println!("claims under test (§2.2): approximate lookup costs little accuracy —");
     println!("per-backend mAP within a few points of exact, and mAP at the default");
-    println!("budget within a few points of the largest; sharded exact search");
-    println!("approaches linear speedup up to the core count; sq8 rows cost ~4x");
+    println!("budget within a few points of the largest; sq8 rows cost ~4x");
     println!("less scan bandwidth than f32 at ≥0.9 recall@10 after re-ranking;");
     println!("pq codes cut the scan below one byte per element (dim-512 gate:");
     println!("≤0.6 B/elem, mmap-loaded resident ≤1.0 B/elem) at ≥0.85 recall@10.");

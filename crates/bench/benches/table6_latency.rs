@@ -42,16 +42,10 @@ fn median_iteration_seconds(
 
 fn main() {
     let specs = bench_suite();
-    // The store backend is configuration, not code: SEESAW_STORE /
-    // SEESAW_SHARDS select exact, forest, or IVF (optionally sharded)
-    // for every index this harness builds.
+    // The store backend is configuration, not code: SEESAW_STORE
+    // selects exact, forest, or IVF for every index this harness builds.
     let store = bench_store_config();
-    eprintln!(
-        "[table6] store backend: {} ({} shard{})",
-        store.backend_name(),
-        store.shards(),
-        if store.shards() == 1 { "" } else { "s" },
-    );
+    eprintln!("[table6] store backend: {}", store.backend_name());
     let built = build_indexes(&specs, IndexNeeds::all());
     let proto = BenchmarkProtocol::default();
     let n_queries = 5;

@@ -35,7 +35,7 @@ pub fn bench_rerank_factor() -> usize {
 }
 
 /// The vector-store backend for bench indexes, selected by environment
-/// (`SEESAW_STORE` = `forest` | `exact` | `ivf`, `SEESAW_SHARDS` = N,
+/// (`SEESAW_STORE` = `forest` | `exact` | `ivf`,
 /// `SEESAW_PRECISION` = `f32` | `f16` | `sq8` | `pq<m>x<nbits>`,
 /// `SEESAW_RERANK_FACTOR` = N) instead of hardcoding one — every
 /// harness that builds through [`build_indexes`] runs against
@@ -56,8 +56,7 @@ pub fn bench_store_config() -> StoreConfig {
             None => panic!("SEESAW_STORE={name:?}: expected forest, exact, or ivf"),
         },
     };
-    cfg.with_shards(env_usize("SEESAW_SHARDS", 0))
-        .with_precision(bench_precision())
+    cfg.with_precision(bench_precision())
         .with_rerank_factor(bench_rerank_factor())
 }
 

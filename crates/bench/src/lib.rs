@@ -16,8 +16,6 @@
 //! * `SEESAW_SEED` — experiment seed (default 7).
 //! * `SEESAW_STORE` — vector-store backend: `forest` (default),
 //!   `exact`, or `ivf`.
-//! * `SEESAW_SHARDS` — shard the store across N parallel workers
-//!   (default 0 = unsharded).
 //! * `SEESAW_PRECISION` — row-storage precision for the dense-row
 //!   backends: `f32` (default), `f16`, or `sq8` (no-op on the RP
 //!   forest, which keeps its own f32 layout).

@@ -33,8 +33,7 @@ pub struct DatasetIndex {
     /// Per image: the patch id of its coarse tile.
     pub coarse_patches: Vec<u32>,
     /// MIPS store over all patches; the backend (exact, RP forest, or
-    /// IVF — each optionally sharded) is selected by the
-    /// `PreprocessConfig`'s `StoreConfig`.
+    /// IVF) is selected by the `PreprocessConfig`'s `StoreConfig`.
     pub store: AnyStore,
     /// The precomputed `M_D` (present when DB alignment was requested).
     pub m_d: Option<DenseMatrix>,

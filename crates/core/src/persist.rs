@@ -384,9 +384,6 @@ mod tests {
                 StoreConfig::exact(),
                 StoreConfig::exact().with_precision(RowPrecision::F16),
                 StoreConfig::exact().with_precision(RowPrecision::Sq8),
-                StoreConfig::exact()
-                    .with_precision(RowPrecision::Sq8)
-                    .with_shards(3),
                 StoreConfig::default(),
                 StoreConfig::ivf(seesaw_vecstore::IvfConfig::default())
                     .with_precision(RowPrecision::Sq8),

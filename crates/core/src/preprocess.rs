@@ -26,7 +26,7 @@ pub struct PreprocessConfig {
     /// Minimum fine-tile side in pixels (CLIP's 224 by default).
     pub min_patch_px: u32,
     /// Vector-store backend and build parameters (exact, RP forest, or
-    /// IVF — each optionally sharded).
+    /// IVF).
     pub store: StoreConfig,
     /// kNN degree for the DB-alignment graph (paper: 10).
     pub knn_k: usize,

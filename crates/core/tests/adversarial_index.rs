@@ -3,11 +3,12 @@
 //! Every test here takes a valid saved index or store file, damages it
 //! in a targeted way — truncation, flipped payload bytes, flipped
 //! checksum fields, misaligned or out-of-bounds section offsets,
-//! header field corruption — and asserts the loader reports a *typed*
-//! error ([`DiskIndexError`] at the store layer, [`PersistError`] at
-//! the engine layer) without panicking. A final sweep flips every byte
-//! of the header and descriptor table one at a time and only requires
-//! "no panic": padding bytes are legitimately ignored by the parser.
+//! header field corruption, a hostile but checksum-valid `STORE_META` —
+//! and asserts the loader reports a *typed* error ([`DiskIndexError`]
+//! at the store layer, [`PersistError`] at the engine layer) without
+//! panicking. A final sweep flips every byte of the header and
+//! descriptor table one at a time and only requires "no panic":
+//! padding bytes are legitimately ignored by the parser.
 //!
 //! Layout facts these tests rely on (see `diskindex.rs`):
 //! header = magic[8] | version u32 | endian u32 | n_sections u32 |
@@ -19,8 +20,11 @@ use std::path::PathBuf;
 
 use seesaw_core::{load_index, save_index, PersistError, PreprocessConfig, Preprocessor};
 use seesaw_dataset::DatasetSpec;
-use seesaw_vecstore::diskindex::SECTION_ALIGN;
-use seesaw_vecstore::{load_store, save_store, DiskIndexError, StoreConfig};
+use seesaw_vecstore::diskindex::{section, SECTION_ALIGN};
+use seesaw_vecstore::{
+    load_store, save_store, store_from_file, AnyStore, DiskIndexError, IndexFile, IndexFileBuilder,
+    StoreConfig,
+};
 
 const HEADER_LEN: usize = 32;
 const DESC_LEN: usize = 32;
@@ -284,6 +288,49 @@ fn header_and_table_bytes_never_panic_when_flipped() {
         let mut bad = bytes.clone();
         bad[at] ^= 0xA5;
         let _ = load_store_from("sweep-flip", &bad);
+    }
+}
+
+/// A checksum-valid exact-backend store file that rebuilds from
+/// `RAW_ROWS`, with the given value in the `STORE_META` shards slot.
+fn crafted_store(shards: u64) -> Vec<u8> {
+    let (dim, rows) = (8u64, 4u64);
+    let mut meta = Vec::new();
+    meta.extend_from_slice(&0u32.to_le_bytes()); // backend: exact
+    meta.extend_from_slice(&0u32.to_le_bytes()); // precision: f32
+    for field in [shards, dim, rows, 4] {
+        // shards slot, dim, n_rows, re-rank factor
+        meta.extend_from_slice(&field.to_le_bytes());
+    }
+    let raw: Vec<u8> = (0..dim * rows)
+        .flat_map(|i| (i as f32).sin().to_le_bytes())
+        .collect();
+    let mut b = IndexFileBuilder::new();
+    b.section(section::STORE_META, meta);
+    b.section(section::RAW_ROWS, raw);
+    b.to_bytes()
+}
+
+#[test]
+fn store_meta_shards_slot_other_than_one_is_bad_header() {
+    // The slot is reserved: 1 (as written) or 0 loads the one store.
+    for ok in [0u64, 1] {
+        let file = IndexFile::from_bytes(crafted_store(ok)).unwrap();
+        let store = store_from_file(&file);
+        assert!(
+            matches!(store, Ok(AnyStore::Exact(_))),
+            "shards slot {ok}: {store:?}"
+        );
+    }
+    // Any other count is a typed error before anything is built from
+    // it: a huge count must not size an allocation or a loop.
+    for bad in [3u64, 2, 1 << 28, 1 << 40, u64::MAX] {
+        let file = IndexFile::from_bytes(crafted_store(bad)).unwrap();
+        let got = store_from_file(&file).map(|_| ());
+        assert!(
+            matches!(got, Err(DiskIndexError::BadHeader(_))),
+            "shards slot {bad}: expected BadHeader, got {got:?}"
+        );
     }
 }
 

@@ -21,8 +21,8 @@
 //!    in-register on AVX2), halving the memory traffic of a dense scan.
 //! 2. **Determinism by construction.** All backends and all tiers
 //!    score through the same canonical arithmetic (below), so
-//!    cross-backend bit-identity guarantees (e.g. sharded-exact ≡
-//!    exact in `tests/store_equivalence.rs`) hold without per-backend
+//!    bit-identity guarantees (e.g. mmap-loaded ≡ in-RAM stores in
+//!    `tests/store_equivalence.rs`) hold without per-backend
 //!    care — and survive tier switches and machine moves.
 //!
 //! # Kernel contracts

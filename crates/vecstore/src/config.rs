@@ -1,24 +1,21 @@
-//! Backend selection as data: [`StoreConfig`] names a backend (and an
-//! optional shard count), [`StoreConfig::build`] materializes it as an
+//! Backend selection as data: [`StoreConfig`] names a backend and its
+//! build knobs, [`StoreConfig::build`] materializes it as an
 //! [`AnyStore`]. The engine's preprocessing pipeline and the bench
 //! harnesses thread a `StoreConfig` through instead of hardcoding one
 //! concrete store type.
 
 use crate::{
     ExactStore, Hit, IvfConfig, IvfStore, KeepFn, RowPrecision, RpForest, RpForestConfig,
-    ShardedStore, VectorStore, SQ8_RERANK_FACTOR,
+    VectorStore, SQ8_RERANK_FACTOR,
 };
 
-/// Which vector-store backend to build, each optionally sharded
-/// (`shards ≤ 1` means unsharded). The dense-row backends (exact and
-/// IVF) additionally carry a [`RowPrecision`] selecting the row
+/// Which vector-store backend to build. The dense-row backends (exact
+/// and IVF) additionally carry a [`RowPrecision`] selecting the row
 /// storage tier; the RP forest keeps its own f32 layout.
 #[derive(Clone, Debug)]
 pub enum StoreConfig {
     /// Brute-force scan — the accuracy reference.
     Exact {
-        /// Shard count; `0` or `1` builds the plain store.
-        shards: usize,
         /// Row storage precision (`f32` default, `f16` half-width).
         precision: RowPrecision,
         /// Re-rank pool factor for the quantized tiers (SQ8, PQ).
@@ -28,15 +25,11 @@ pub enum StoreConfig {
     RpForest {
         /// Forest build parameters.
         config: RpForestConfig,
-        /// Shard count; `0` or `1` builds the plain store.
-        shards: usize,
     },
     /// Inverted-file index with a k-means coarse quantizer.
     Ivf {
         /// IVF build parameters.
         config: IvfConfig,
-        /// Shard count; `0` or `1` builds the plain store.
-        shards: usize,
         /// Row storage precision (`f32` default, `f16` half-width).
         precision: RowPrecision,
         /// Re-rank pool factor for the quantized tiers (SQ8, PQ).
@@ -45,45 +38,33 @@ pub enum StoreConfig {
 }
 
 impl Default for StoreConfig {
-    /// The paper's choice: an unsharded RP forest with default knobs.
+    /// The paper's choice: an RP forest with default knobs.
     fn default() -> Self {
         Self::forest(RpForestConfig::default())
     }
 }
 
 impl StoreConfig {
-    /// Unsharded exact scan with `f32` rows.
+    /// Exact scan with `f32` rows.
     pub fn exact() -> Self {
         Self::Exact {
-            shards: 0,
             precision: RowPrecision::F32,
             rerank_factor: SQ8_RERANK_FACTOR,
         }
     }
 
-    /// Unsharded RP forest.
+    /// RP forest.
     pub fn forest(config: RpForestConfig) -> Self {
-        Self::RpForest { config, shards: 0 }
+        Self::RpForest { config }
     }
 
-    /// Unsharded IVF with `f32` rows.
+    /// IVF with `f32` rows.
     pub fn ivf(config: IvfConfig) -> Self {
         Self::Ivf {
             config,
-            shards: 0,
             precision: RowPrecision::F32,
             rerank_factor: SQ8_RERANK_FACTOR,
         }
-    }
-
-    /// Set the shard count (builder style).
-    pub fn with_shards(mut self, n: usize) -> Self {
-        match &mut self {
-            Self::Exact { shards, .. }
-            | Self::RpForest { shards, .. }
-            | Self::Ivf { shards, .. } => *shards = n,
-        }
-        self
     }
 
     /// Set the row-storage precision (builder style). A no-op on the
@@ -123,15 +104,6 @@ impl StoreConfig {
         }
     }
 
-    /// Shard count (`0` normalizes to `1`).
-    pub fn shards(&self) -> usize {
-        match self {
-            Self::Exact { shards, .. }
-            | Self::RpForest { shards, .. }
-            | Self::Ivf { shards, .. } => (*shards).max(1),
-        }
-    }
-
     /// Row-storage precision (the RP forest always reports
     /// [`RowPrecision::F32`]).
     pub fn precision(&self) -> RowPrecision {
@@ -164,7 +136,7 @@ impl StoreConfig {
 
     /// Parse a backend name as produced by [`Self::backend_name`]
     /// (`exact` / `forest` / `ivf`, case-insensitive), with default
-    /// knobs and no sharding. `None` for anything else.
+    /// knobs. `None` for anything else.
     pub fn from_backend_name(name: &str) -> Option<Self> {
         match name.to_ascii_lowercase().as_str() {
             "exact" => Some(Self::exact()),
@@ -179,52 +151,25 @@ impl StoreConfig {
     /// # Panics
     /// Panics when the buffer is not a multiple of `dim`.
     pub fn build(&self, dim: usize, data: Vec<f32>) -> AnyStore {
-        let shards = self.shards();
         match self {
             Self::Exact {
                 precision,
                 rerank_factor,
-                ..
-            } => {
-                if shards <= 1 {
-                    AnyStore::Exact(
-                        ExactStore::with_precision(dim, data, *precision)
-                            .with_rerank_factor(*rerank_factor),
-                    )
-                } else {
-                    AnyStore::ShardedExact(ShardedStore::build(dim, data, shards, |d, buf| {
-                        ExactStore::with_precision(d, buf, *precision)
-                            .with_rerank_factor(*rerank_factor)
-                    }))
-                }
-            }
-            Self::RpForest { config, .. } => {
-                if shards <= 1 {
-                    AnyStore::Forest(RpForest::build(dim, data, config.clone()))
-                } else {
-                    AnyStore::ShardedForest(ShardedStore::build(dim, data, shards, |d, buf| {
-                        RpForest::build(d, buf, config.clone())
-                    }))
-                }
+            } => AnyStore::Exact(
+                ExactStore::with_precision(dim, data, *precision)
+                    .with_rerank_factor(*rerank_factor),
+            ),
+            Self::RpForest { config } => {
+                AnyStore::Forest(RpForest::build(dim, data, config.clone()))
             }
             Self::Ivf {
                 config,
                 precision,
                 rerank_factor,
-                ..
-            } => {
-                if shards <= 1 {
-                    AnyStore::Ivf(
-                        IvfStore::build_with_precision(dim, data, config.clone(), *precision)
-                            .with_rerank_factor(*rerank_factor),
-                    )
-                } else {
-                    AnyStore::ShardedIvf(ShardedStore::build(dim, data, shards, |d, buf| {
-                        IvfStore::build_with_precision(d, buf, config.clone(), *precision)
-                            .with_rerank_factor(*rerank_factor)
-                    }))
-                }
-            }
+            } => AnyStore::Ivf(
+                IvfStore::build_with_precision(dim, data, config.clone(), *precision)
+                    .with_rerank_factor(*rerank_factor),
+            ),
         }
     }
 }
@@ -234,18 +179,12 @@ impl StoreConfig {
 /// `Debug`, with static dispatch on the hot path.
 #[derive(Clone, Debug)]
 pub enum AnyStore {
-    /// Unsharded exact scan.
+    /// Exact scan.
     Exact(ExactStore),
-    /// Unsharded RP forest.
+    /// RP forest.
     Forest(RpForest),
-    /// Unsharded IVF.
+    /// IVF.
     Ivf(IvfStore),
-    /// Sharded exact scan.
-    ShardedExact(ShardedStore<ExactStore>),
-    /// Sharded RP forest.
-    ShardedForest(ShardedStore<RpForest>),
-    /// Sharded IVF.
-    ShardedIvf(ShardedStore<IvfStore>),
 }
 
 macro_rules! dispatch {
@@ -254,9 +193,6 @@ macro_rules! dispatch {
             AnyStore::Exact($s) => $body,
             AnyStore::Forest($s) => $body,
             AnyStore::Ivf($s) => $body,
-            AnyStore::ShardedExact($s) => $body,
-            AnyStore::ShardedForest($s) => $body,
-            AnyStore::ShardedIvf($s) => $body,
         }
     };
 }
@@ -303,18 +239,9 @@ mod tests {
         let data = random_data(60, dim, 1);
         let cases: Vec<(StoreConfig, VariantCheck)> = vec![
             (StoreConfig::exact(), |s| matches!(s, AnyStore::Exact(_))),
-            (StoreConfig::exact().with_shards(3), |s| {
-                matches!(s, AnyStore::ShardedExact(_))
-            }),
             (StoreConfig::default(), |s| matches!(s, AnyStore::Forest(_))),
-            (StoreConfig::default().with_shards(2), |s| {
-                matches!(s, AnyStore::ShardedForest(_))
-            }),
             (StoreConfig::ivf(IvfConfig::default()), |s| {
                 matches!(s, AnyStore::Ivf(_))
-            }),
-            (StoreConfig::ivf(IvfConfig::default()).with_shards(2), |s| {
-                matches!(s, AnyStore::ShardedIvf(_))
             }),
         ];
         for (cfg, check) in cases {
@@ -326,12 +253,6 @@ mod tests {
             let hits = store.top_k(&data[..dim], 3);
             assert_eq!(hits[0].id, 0, "{cfg:?}");
         }
-    }
-
-    #[test]
-    fn one_shard_builds_the_plain_store() {
-        let store = StoreConfig::exact().with_shards(1).build(4, vec![1.0; 8]);
-        assert!(matches!(store, AnyStore::Exact(_)));
     }
 
     #[test]
@@ -357,15 +278,6 @@ mod tests {
             panic!("variant changed");
         };
         assert_eq!(s.precision(), RowPrecision::F16);
-        // Sharded builds hand the precision to every shard, and the
-        // f16 scan still finds the self-match on unit vectors.
-        let sharded = StoreConfig::exact()
-            .with_precision(RowPrecision::F16)
-            .with_shards(3)
-            .build(dim, data.clone());
-        assert!(matches!(sharded, AnyStore::ShardedExact(_)));
-        let hits = sharded.top_k(&data[..dim], 1);
-        assert_eq!(hits[0].id, 0);
     }
 
     #[test]

@@ -30,7 +30,6 @@
 //! | `Exact` | row payload per precision | zero-copy rows |
 //! | `Ivf` | rows + centroids + flattened lists | zero-copy rows; the small centroid/list sections are copied |
 //! | `Forest` | raw f32 rows + build config | deterministic rebuild (tree nodes are cheap to rebuild and pointer-heavy to serialize) |
-//! | `Sharded*` | raw f32 rows in original order + config | deterministic rebuild via [`StoreConfig::build`] |
 //!
 //! The format is explicitly little-endian (the header carries an
 //! endian tag and this module refuses to compile on big-endian
@@ -51,8 +50,8 @@ use std::sync::Arc;
 
 use crate::storage::{PqRows, RowPrecision, RowStorage, Sq8Rows};
 use crate::{
-    AnyStore, ExactStore, IvfConfig, IvfStore, RpForestConfig, ShardedStore, StoreConfig,
-    VectorStore, SQ8_RERANK_FACTOR,
+    AnyStore, ExactStore, IvfConfig, IvfStore, RpForestConfig, StoreConfig, VectorStore,
+    SQ8_RERANK_FACTOR,
 };
 
 #[cfg(target_endian = "big")]
@@ -818,7 +817,8 @@ fn encode_meta(config: &StoreConfig, dim: usize, n_rows: usize) -> Vec<u8> {
     };
     w.extend_from_slice(&backend.to_le_bytes());
     w.extend_from_slice(&precision_tag(config.precision()).to_le_bytes());
-    w.extend_from_slice(&(config.shards() as u64).to_le_bytes());
+    // The shards slot: reserved, always 1 (one store per index).
+    w.extend_from_slice(&1u64.to_le_bytes());
     w.extend_from_slice(&(dim as u64).to_le_bytes());
     w.extend_from_slice(&(n_rows as u64).to_le_bytes());
     for x in extras {
@@ -842,7 +842,11 @@ fn decode_meta(bytes: &[u8]) -> Result<StoreMeta, DiskIndexError> {
     }
     let backend = read_u32(bytes, 0);
     let precision_tag = read_u32(bytes, 4);
-    let shards = read_u64(bytes, 8) as usize;
+    // The reserved shards slot: `1` as written (`0` also reads as one
+    // store). Any other count is rejected, never acted on.
+    if read_u64(bytes, 8) > 1 {
+        return Err(DiskIndexError::BadHeader("store meta shards slot is not 1"));
+    }
     let dim = read_u64(bytes, 16) as usize;
     let n_rows = read_u64(bytes, 24) as usize;
     if dim == 0 {
@@ -901,7 +905,6 @@ fn decode_meta(bytes: &[u8]) -> Result<StoreMeta, DiskIndexError> {
     };
     let config = match backend {
         BACKEND_EXACT => StoreConfig::Exact {
-            shards,
             precision,
             rerank_factor,
         },
@@ -912,7 +915,6 @@ fn decode_meta(bytes: &[u8]) -> Result<StoreMeta, DiskIndexError> {
                 search_k: e[2] as usize,
                 seed: e[3],
             },
-            shards,
         },
         BACKEND_IVF => StoreConfig::Ivf {
             config: IvfConfig {
@@ -921,7 +923,6 @@ fn decode_meta(bytes: &[u8]) -> Result<StoreMeta, DiskIndexError> {
                 train_iters: e[2] as usize,
                 seed: e[3],
             },
-            shards,
             precision,
             rerank_factor,
         },
@@ -1017,27 +1018,6 @@ fn rows_from_file(
     Ok(rows)
 }
 
-/// Collect the original-order f32 row matrix of a sharded store (the
-/// rebuild-on-load payload). SQ8 shards export their exact source
-/// rows and f16 shards their decoded rows, so rebuilding re-encodes
-/// to bit-identical storage (f16 round-trips exactly; SQ8 re-derives
-/// identical params and codes from identical sources).
-fn sharded_raw_rows<S: VectorStore>(
-    store: &ShardedStore<S>,
-    export: impl Fn(&S, u32, &mut [f32]),
-) -> Vec<f32> {
-    let dim = store.dim();
-    let mut data = vec![0.0f32; store.len() * dim];
-    for s in 0..store.n_shards() {
-        let backend = store.shard_store(s);
-        for (local, &global) in store.shard_ids(s).iter().enumerate() {
-            let at = global as usize * dim;
-            export(backend, local as u32, &mut data[at..at + dim]);
-        }
-    }
-    data
-}
-
 /// Serialize a store to an in-memory `SSAWIDX1` blob.
 pub fn encode_store(store: &AnyStore) -> Vec<u8> {
     let mut b = IndexFileBuilder::new();
@@ -1047,7 +1027,6 @@ pub fn encode_store(store: &AnyStore) -> Vec<u8> {
         AnyStore::Exact(s) => {
             row_sections(&mut b, s.rows());
             StoreConfig::Exact {
-                shards: 1,
                 precision: s.precision(),
                 rerank_factor: s.rerank_factor(),
             }
@@ -1066,7 +1045,6 @@ pub fn encode_store(store: &AnyStore) -> Vec<u8> {
             b.section(section::IVF_LIST_IDS, le_bytes_u32(&ids));
             StoreConfig::Ivf {
                 config: s.config().clone(),
-                shards: 1,
                 precision: s.precision(),
                 rerank_factor: s.rerank_factor(),
             }
@@ -1075,43 +1053,6 @@ pub fn encode_store(store: &AnyStore) -> Vec<u8> {
             b.section(section::RAW_ROWS, le_bytes_f32(s.raw_data()));
             StoreConfig::RpForest {
                 config: s.config().clone(),
-                shards: 1,
-            }
-        }
-        AnyStore::ShardedExact(s) => {
-            let precision = s.shard_store(0).precision();
-            b.section(
-                section::RAW_ROWS,
-                le_bytes_f32(&sharded_raw_rows(s, |st, id, out| st.row_into(id, out))),
-            );
-            StoreConfig::Exact {
-                shards: s.n_shards(),
-                precision,
-                rerank_factor: s.shard_store(0).rerank_factor(),
-            }
-        }
-        AnyStore::ShardedForest(s) => {
-            b.section(
-                section::RAW_ROWS,
-                le_bytes_f32(&sharded_raw_rows(s, |st, id, out| {
-                    out.copy_from_slice(st.vector(id))
-                })),
-            );
-            StoreConfig::RpForest {
-                config: s.shard_store(0).config().clone(),
-                shards: s.n_shards(),
-            }
-        }
-        AnyStore::ShardedIvf(s) => {
-            b.section(
-                section::RAW_ROWS,
-                le_bytes_f32(&sharded_raw_rows(s, |st, id, out| st.row_into(id, out))),
-            );
-            StoreConfig::Ivf {
-                config: s.shard_store(0).config().clone(),
-                shards: s.n_shards(),
-                precision: s.shard_store(0).precision(),
-                rerank_factor: s.shard_store(0).rerank_factor(),
             }
         }
     };
@@ -1153,11 +1094,9 @@ pub fn store_from_file(file: &IndexFile) -> Result<AnyStore, DiskIndexError> {
         n_rows,
     } = meta;
     if file.has_section(section::RAW_ROWS) {
-        // Rebuild-on-load path (forests and sharded stores):
-        // deterministic construction from the original-order rows and
-        // the saved build config. A sharded store saved with a single
-        // shard loads as the equivalent plain backend — identical
-        // query results, just without the one-shard wrapper.
+        // Rebuild-on-load path (the forest): deterministic
+        // construction from the original-order rows and the saved
+        // build config.
         let raw = file.section_slice::<f32>(section::RAW_ROWS)?;
         if raw.len() != n_rows * dim {
             return Err(DiskIndexError::BadHeader("row section shape mismatch"));
@@ -1234,13 +1173,13 @@ pub fn load_store(path: &Path) -> Result<AnyStore, DiskIndexError> {
 /// codes-plus-codebooks steady-state hot set as a store loaded via
 /// [`load_store`]. Returns `true` if rows were spilled; `false` (and
 /// no file is written) when the store has no re-rank tier, the source
-/// is already mapped, or the store is sharded/forest (those rebuild
-/// from raw rows and hold no spillable source).
+/// is already mapped, or the store is a forest (which rebuilds from
+/// raw rows and holds no spillable source).
 pub fn spill_rerank_rows(store: &mut AnyStore, path: &Path) -> Result<bool, DiskIndexError> {
     let storage = match store {
         AnyStore::Exact(s) => s.rows_mut(),
         AnyStore::Ivf(s) => s.rows_mut(),
-        _ => return Ok(false),
+        AnyStore::Forest(_) => return Ok(false),
     };
     let Some(source) = storage.rerank_source_mut() else {
         return Ok(false);
@@ -1429,40 +1368,26 @@ mod tests {
             StoreConfig::exact(),
             StoreConfig::exact().with_precision(RowPrecision::F16),
             StoreConfig::exact().with_precision(RowPrecision::Sq8),
-            StoreConfig::exact().with_shards(3),
-            StoreConfig::exact()
-                .with_precision(RowPrecision::Sq8)
-                .with_shards(2),
             StoreConfig::forest(RpForestConfig {
                 n_trees: 4,
                 ..Default::default()
             }),
-            StoreConfig::forest(RpForestConfig {
-                n_trees: 4,
-                ..Default::default()
-            })
-            .with_shards(2),
             StoreConfig::ivf(IvfConfig::default()),
             StoreConfig::ivf(IvfConfig::default()).with_precision(RowPrecision::F16),
             StoreConfig::ivf(IvfConfig::default()).with_precision(RowPrecision::Sq8),
-            StoreConfig::ivf(IvfConfig::default()).with_shards(2),
             StoreConfig::exact().with_precision(RowPrecision::Pq { m: 4, nbits: 8 }),
             StoreConfig::exact()
                 .with_precision(RowPrecision::Pq { m: 8, nbits: 5 })
                 .with_rerank_factor(7),
             StoreConfig::ivf(IvfConfig::default())
                 .with_precision(RowPrecision::Pq { m: 4, nbits: 8 }),
-            StoreConfig::exact()
-                .with_precision(RowPrecision::Pq { m: 4, nbits: 8 })
-                .with_shards(2),
         ];
         for cfg in configs {
             let built = cfg.build(dim, data.clone());
             let path = tmp_path(&format!(
-                "rt-{}-{}-{}",
+                "rt-{}-{}",
                 cfg.backend_name(),
-                cfg.precision().name(),
-                cfg.shards()
+                cfg.precision().label()
             ));
             save_store(&built, &path).unwrap();
             // Verified open: every checksum must hold right after save.

@@ -2,8 +2,8 @@
 //!
 //! SeeSaw uses Annoy: an *approximate* store is acceptable because "even
 //! if the exact result were returned, there is already error inherent to
-//! the embedding representation". This crate provides three backends and
-//! a horizontal sharding layer over all of them:
+//! the embedding representation". This crate provides three backends,
+//! one store per index:
 //!
 //! * [`ExactStore`] — a brute-force scan, the accuracy reference;
 //! * [`RpForest`] — an Annoy-style forest of random-projection trees
@@ -11,15 +11,10 @@
 //!   priority queue across trees; exact re-rank of the candidate union);
 //! * [`IvfStore`] — an inverted-file index: a k-means coarse quantizer
 //!   partitions the data into lists, queries scan only the `n_probe`
-//!   best-matching lists;
-//! * [`ShardedStore`] — row-partitions any backend into N shards, fans
-//!   queries out with scoped threads, and k-way-merges the per-shard
-//!   results with the deterministic tie-break (descending score,
-//!   ascending id), so sharded-exact search is bit-identical to the
-//!   unsharded scan.
+//!   best-matching lists.
 //!
-//! [`StoreConfig`] names a backend (plus an optional shard count and,
-//! for the dense-row backends, a [`RowPrecision`]) as plain data, and
+//! [`StoreConfig`] names a backend (plus, for the dense-row backends, a
+//! [`RowPrecision`]) as plain data, and
 //! [`StoreConfig::build`] materializes it as an [`AnyStore`]; the
 //! engine's preprocessing pipeline selects backends through it instead
 //! of hardcoding one.
@@ -62,13 +57,8 @@
 //! | `RpForest`   | recall ≳ 0.85 @ default `search_k` (floor asserted in `tests/store_equivalence.rs`) | O(search_k·d) + tree walks | vectors + ~2N tree nodes per tree | the paper's choice: large N, interactive latency |
 //! | `IvfStore`   | recall ≳ 0.70 @ default `n_probe` (same suite), → 1.0 as `n_probe → n_lists` | O((n_probe/n_lists)·N·d) + centroid scan | vectors + centroids + list ids | large N with a tunable recall/latency dial, clustered data |
 //!
-//! Any of the three can be wrapped in [`ShardedStore`]: results are
-//! identical to the unsharded backend built per shard (bit-identical
-//! for `ExactStore`), latency drops toward 1/N of the unsharded scan on
-//! N idle cores, and memory is unchanged (rows are partitioned, not
-//! copied). Shard when the per-query scan dominates latency and cores
-//! are available — i.e. `ExactStore` at medium N, or any backend under
-//! heavy concurrent load.
+//! Each query runs on the caller's thread: concurrency comes from
+//! concurrent sessions, not from splitting one query across cores.
 
 //! ## Blocked scans
 //!
@@ -90,7 +80,6 @@ pub mod ivf;
 #[cfg(test)]
 mod proptests;
 pub mod recall;
-pub mod sharded;
 pub mod storage;
 
 use std::collections::BinaryHeap;
@@ -104,7 +93,6 @@ pub use diskindex::{
 pub use exact::ExactStore;
 pub use ivf::{IvfConfig, IvfStore};
 pub use recall::recall_at_k;
-pub use sharded::{merge_hits, ShardedStore};
 pub use storage::{
     Buf, PqRows, RowPrecision, RowStorage, Sq8Rows, PQ_DEFAULT_M, PQ_DEFAULT_NBITS, PQ_TRAIN_SEED,
     SQ8_RERANK_FACTOR,
@@ -127,8 +115,8 @@ pub struct Hit {
 /// negative NaN below `-inf`) instead of collapsing the comparator to
 /// `Equal` and making the sort order depend on insertion order.
 ///
-/// Every ranked surface of the workspace — the selection heaps here,
-/// the sharded k-way merge, and the engine's candidate ranking — must
+/// Every ranked surface of the workspace — the selection heaps here
+/// and the engine's candidate ranking — must
 /// compare through this one function so that "sorted hits" means the
 /// same thing everywhere.
 #[inline]
@@ -136,15 +124,13 @@ pub fn hit_order(a: &Hit, b: &Hit) -> std::cmp::Ordering {
     b.score.total_cmp(&a.score).then(a.id.cmp(&b.id))
 }
 
-/// The item filter passed to queries. `Sync` so sharded stores can
-/// apply it from worker threads.
-pub type KeepFn<'a> = dyn Fn(u32) -> bool + Sync + 'a;
+/// The item filter passed to queries, called on the querying thread.
+pub type KeepFn<'a> = dyn Fn(u32) -> bool + 'a;
 
 /// Maximum-inner-product top-k interface shared by every backend.
 ///
 /// Object-safe and `Send + Sync`: a `Box<dyn VectorStore>` can be
-/// queried from any thread, and [`ShardedStore`] fans queries out to
-/// scoped worker threads.
+/// shared across threads and queried from any of them.
 pub trait VectorStore: Send + Sync {
     /// Number of indexed vectors.
     fn len(&self) -> usize;
@@ -220,9 +206,8 @@ impl Ord for WorstFirst {
 /// against the heap root for a rejected candidate and O(log k) for an
 /// accepted one. Because the order is total over distinct ids, the
 /// retained set — and therefore the sorted output — is independent of
-/// insertion order, which is what lets the IVF probe walk and the
-/// sharded merge visit rows in any order and still match the
-/// sequential scan bit for bit.
+/// insertion order, which is what lets the IVF probe walk visit rows
+/// in any order and still match the sequential scan bit for bit.
 #[derive(Clone, Debug)]
 pub struct TopKSelector {
     k: usize,

@@ -4,8 +4,8 @@
 #![cfg(test)]
 
 use crate::{
-    merge_hits, ExactStore, Hit, IvfConfig, IvfStore, RowPrecision, RpForest, RpForestConfig,
-    ShardedStore, StoreConfig, VectorStore,
+    ExactStore, IvfConfig, IvfStore, RowPrecision, RpForest, RpForestConfig, StoreConfig,
+    VectorStore,
 };
 use proptest::prelude::*;
 
@@ -20,7 +20,7 @@ fn flat_unit_vectors(n: usize, dim: usize, seed: u64) -> Vec<f32> {
     out
 }
 
-/// Every backend (sharded and not) built over the same buffer, labeled
+/// Every backend and precision built over the same buffer, labeled
 /// for assertion messages.
 fn all_backends(dim: usize, data: &[f32]) -> Vec<(&'static str, Box<dyn VectorStore>)> {
     vec![
@@ -41,22 +41,6 @@ fn all_backends(dim: usize, data: &[f32]) -> Vec<(&'static str, Box<dyn VectorSt
             Box::new(IvfStore::build(dim, data.to_vec(), IvfConfig::default())),
         ),
         (
-            "sharded-exact",
-            Box::new(ShardedStore::build(dim, data.to_vec(), 3, ExactStore::new)),
-        ),
-        (
-            "sharded-forest",
-            Box::new(ShardedStore::build(dim, data.to_vec(), 2, |d, buf| {
-                RpForest::build(d, buf, RpForestConfig::default())
-            })),
-        ),
-        (
-            "sharded-ivf",
-            Box::new(ShardedStore::build(dim, data.to_vec(), 2, |d, buf| {
-                IvfStore::build(d, buf, IvfConfig::default())
-            })),
-        ),
-        (
             "exact-f16",
             Box::new(ExactStore::with_precision(
                 dim,
@@ -72,12 +56,6 @@ fn all_backends(dim: usize, data: &[f32]) -> Vec<(&'static str, Box<dyn VectorSt
                 IvfConfig::default(),
                 RowPrecision::F16,
             )),
-        ),
-        (
-            "sharded-exact-f16",
-            Box::new(ShardedStore::build(dim, data.to_vec(), 3, |d, buf| {
-                ExactStore::with_precision(d, buf, RowPrecision::F16)
-            })),
         ),
         (
             "exact-sq8",
@@ -97,12 +75,6 @@ fn all_backends(dim: usize, data: &[f32]) -> Vec<(&'static str, Box<dyn VectorSt
             )),
         ),
         (
-            "sharded-exact-sq8",
-            Box::new(ShardedStore::build(dim, data.to_vec(), 3, |d, buf| {
-                ExactStore::with_precision(d, buf, RowPrecision::Sq8)
-            })),
-        ),
-        (
             "exact-pq",
             Box::new(ExactStore::with_precision(
                 dim,
@@ -118,12 +90,6 @@ fn all_backends(dim: usize, data: &[f32]) -> Vec<(&'static str, Box<dyn VectorSt
                 IvfConfig::default(),
                 RowPrecision::Pq { m: 4, nbits: 8 },
             )),
-        ),
-        (
-            "sharded-exact-pq",
-            Box::new(ShardedStore::build(dim, data.to_vec(), 3, |d, buf| {
-                ExactStore::with_precision(d, buf, RowPrecision::Pq { m: 4, nbits: 8 })
-            })),
         ),
     ]
 }
@@ -193,94 +159,6 @@ proptest! {
         }
     }
 
-    /// The k-way merge is invariant to how rows are assigned to shards:
-    /// any partition of the data produces output bit-identical to the
-    /// unsharded exact scan.
-    #[test]
-    fn merge_is_order_invariant_over_shard_assignment(
-        n in 5usize..120,
-        seed in 400u64..800,
-        n_shards in 1usize..6,
-        k in 1usize..10,
-    ) {
-        let dim = 8;
-        let data = flat_unit_vectors(n, dim, seed);
-        let exact = ExactStore::new(dim, data.clone());
-        let q = &data[(n - 1) * dim..]; // last vector as the query
-        let truth = exact.top_k(q, k);
-
-        // A pseudo-random (but arbitrary) row→shard assignment.
-        let assignment: Vec<usize> = (0..n)
-            .map(|row| (row.wrapping_mul(2654435761).wrapping_add(seed as usize)) % n_shards)
-            .collect();
-        let scattered = ShardedStore::build_with_assignment(
-            dim, data.clone(), &assignment, n_shards, ExactStore::new,
-        );
-        let contiguous = ShardedStore::build(dim, data.clone(), n_shards, ExactStore::new);
-        for (label, store) in [("scattered", &scattered), ("contiguous", &contiguous)] {
-            let got = store.top_k(q, k);
-            prop_assert_eq!(truth.len(), got.len(), "{}", label);
-            for (t, g) in truth.iter().zip(&got) {
-                prop_assert_eq!(t.id, g.id, "{}", label);
-                prop_assert_eq!(t.score.to_bits(), g.score.to_bits(), "{}", label);
-            }
-        }
-    }
-
-    /// The shard-invariance guarantee holds per precision: an f16
-    /// sharded store is bit-identical to the f16 unsharded store (the
-    /// per-shard encode rounds element-wise, so it cannot depend on
-    /// the partition).
-    #[test]
-    fn sharded_f16_matches_unsharded_f16_bitwise(
-        n in 5usize..100,
-        seed in 1400u64..1700,
-        n_shards in 2usize..5,
-        k in 1usize..8,
-    ) {
-        let dim = 8;
-        let data = flat_unit_vectors(n, dim, seed);
-        let truth = ExactStore::with_precision(dim, data.clone(), RowPrecision::F16).top_k(&data[..dim], k);
-        let sharded = ShardedStore::build(dim, data.clone(), n_shards, |d, buf| {
-            ExactStore::with_precision(d, buf, RowPrecision::F16)
-        });
-        let got = sharded.top_k(&data[..dim], k);
-        prop_assert_eq!(truth.len(), got.len());
-        for (t, g) in truth.iter().zip(&got) {
-            prop_assert_eq!(t.id, g.id);
-            prop_assert_eq!(t.score.to_bits(), g.score.to_bits());
-        }
-    }
-
-    /// `merge_hits` itself is invariant to the order of its input parts.
-    #[test]
-    fn merge_ignores_part_order(
-        seed in 0u64..200,
-        k in 1usize..16,
-    ) {
-        let dim = 4;
-        let n = 30;
-        let data = flat_unit_vectors(n, dim, seed);
-        let q = &data[..dim];
-        let parts: Vec<Vec<Hit>> = (0..3)
-            .map(|s| {
-                let rows: Vec<f32> = (0..n)
-                    .filter(|row| row % 3 == s)
-                    .flat_map(|row| data[row * dim..(row + 1) * dim].to_vec())
-                    .collect();
-                let mut hits = ExactStore::new(dim, rows).top_k(q, k);
-                for h in &mut hits {
-                    h.id = h.id * 3 + s as u32; // back to global ids
-                }
-                hits
-            })
-            .collect();
-        let forward = merge_hits(&parts, k);
-        let reversed: Vec<Vec<Hit>> = parts.iter().rev().cloned().collect();
-        let backward = merge_hits(&reversed, k);
-        prop_assert_eq!(forward, backward);
-    }
-
     /// Full-budget queries through `StoreConfig`-built stores equal the
     /// exact scan for every backend (budget ≥ n makes all exhaustive).
     #[test]
@@ -297,8 +175,6 @@ proptest! {
             StoreConfig::exact(),
             StoreConfig::default(),
             StoreConfig::ivf(IvfConfig::default()),
-            StoreConfig::exact().with_shards(3),
-            StoreConfig::ivf(IvfConfig::default()).with_shards(2),
         ] {
             let store = cfg.build(dim, data.clone());
             let got: Vec<u32> = store

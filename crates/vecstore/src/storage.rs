@@ -49,15 +49,10 @@
 //!   a given input).
 //!
 //! Every scoring path funnels through the canonical kernels
-//! (`seesaw_linalg::kernels`), so the cross-backend bit-identity
-//! guarantees (sharded ≡ unsharded, loaded ≡ built) hold *per
-//! precision*: an f16 sharded store is bit-identical to the f16
-//! unsharded store, just not to the f32 one. (SQ8 is the one partial
-//! exception: per-shard rerank pools are computed per shard, so a
-//! *sharded* sq8 store may retain a more generous candidate pool than
-//! the unsharded scan — same semantics as the per-shard probing
-//! budget — while mmap-loaded stores remain bit-identical to the
-//! in-RAM stores they were saved from.)
+//! (`seesaw_linalg::kernels`), so the bit-identity guarantees
+//! (loaded ≡ built, across SIMD tiers) hold *per precision*: an
+//! mmap-loaded f16 store is bit-identical to the in-RAM f16 store it
+//! was saved from, just not to an f32 store over the same data.
 //!
 //! Buffers are [`Buf`]s: either owned `Vec`s (built in RAM) or
 //! zero-copy [`MappedSlice`] views into an mmapped index file. The
@@ -85,9 +80,8 @@ pub const SQ8_RERANK_FACTOR: usize = 4;
 pub const PQ_TRAIN_ITERS: usize = 8;
 
 /// Fixed seed for PQ codebook training: codebooks are a deterministic
-/// function of the training data alone, so rebuilding a store (or
-/// rebuilding shards from raw rows at load time) reproduces identical
-/// codes bit for bit.
+/// function of the training data alone, so rebuilding a store from
+/// the same rows reproduces identical codes bit for bit.
 pub const PQ_TRAIN_SEED: u64 = 0x5EE5_A901;
 
 /// Default subspace count for PQ when a config doesn't specify one

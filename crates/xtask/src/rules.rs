@@ -627,7 +627,7 @@ mod tests {
         // `fn partial_cmp(..)` in a PartialOrd impl is a definition,
         // not a float comparison.
         let src = "impl PartialOrd for Hit {\n    fn partial_cmp(&self, o: &Self) -> Option<Ordering> { Some(self.cmp(o)) }\n}\n";
-        assert!(denied(&lint("crates/vecstore/src/sharded.rs", src), "F1").is_empty());
+        assert!(denied(&lint("crates/vecstore/src/lib.rs", src), "F1").is_empty());
     }
 
     // ---- F2 fixtures -------------------------------------------------

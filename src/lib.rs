@@ -15,8 +15,7 @@
 //!   ObjectNet / BDD.
 //! * [`vecstore`] — vector-store backends (exact scan, Annoy-style
 //!   random-projection forest, IVF) behind one `VectorStore` trait,
-//!   plus a sharding layer that parallelizes any of them; selected via
-//!   `StoreConfig`.
+//!   one store per index, selected via `StoreConfig`.
 //! * [`knn`] — NN-descent kNN graphs and label propagation.
 //! * [`aligner`] — the paper's contribution: the query-alignment loss
 //!   (CLIP alignment + database alignment) and its L-BFGS solve.

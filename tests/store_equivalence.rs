@@ -1,11 +1,8 @@
 //! Cross-backend equivalence suite for the vector-store layer.
 //!
-//! The contract this locks in (ISSUE 2 / paper §2.2): sharding is a
-//! pure parallelization — `ShardedStore<ExactStore>` must be
-//! *bit-identical* to the unsharded exact scan for every shard count —
-//! while the approximate backends (RP forest, IVF) may trade recall for
-//! latency but must stay above the floors documented in the
-//! `seesaw_vecstore` module docs (forest ≳ 0.85, IVF ≳ 0.70, exact-sq8
+//! The contract this locks in (paper §2.2): the approximate backends
+//! (RP forest, IVF) may trade recall for latency but must stay above
+//! the floors documented in the `seesaw_vecstore` module docs (forest ≳ 0.85, IVF ≳ 0.70, exact-sq8
 //! with re-ranking ≥ 0.90 at default knobs). The `recall_` tests
 //! double as the CI recall-regression smoke: a backend change that
 //! silently drops recall fails the build. ISSUE 8 adds the on-disk
@@ -20,8 +17,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use seesaw::linalg::random_unit_vector;
 use seesaw::vecstore::{
-    recall_at_k, ExactStore, IvfConfig, RowPrecision, RpForestConfig, ShardedStore, StoreConfig,
-    VectorStore,
+    recall_at_k, ExactStore, IvfConfig, RowPrecision, RpForestConfig, StoreConfig, VectorStore,
 };
 
 fn random_data(n: usize, dim: usize, seed: u64) -> Vec<f32> {
@@ -49,77 +45,6 @@ fn assert_bit_identical(truth: &[seesaw::vecstore::Hit], got: &[seesaw::vecstore
             "{ctx}: score bits for id {}",
             t.id
         );
-    }
-}
-
-#[test]
-fn sharded_exact_is_bit_identical_to_exact() {
-    for (n, dim, seed) in [(97usize, 8usize, 1u64), (500, 16, 2), (1000, 24, 3)] {
-        let data = random_data(n, dim, seed);
-        let exact = ExactStore::new(dim, data.clone());
-        let queries = random_queries(8, dim, seed ^ 0x5eed);
-        for shards in [1usize, 2, 3, 7] {
-            let sharded = ShardedStore::build(dim, data.clone(), shards, ExactStore::new);
-            for (qi, q) in queries.iter().enumerate() {
-                for k in [1usize, 5, 13, n + 10] {
-                    let truth = exact.top_k(q, k);
-                    let got = sharded.top_k(q, k);
-                    assert_bit_identical(
-                        &truth,
-                        &got,
-                        &format!("n={n} shards={shards} q={qi} k={k}"),
-                    );
-                }
-                // Filtered queries must agree too (the filter runs on
-                // global ids inside each shard).
-                let truth = exact.top_k_filtered(q, 9, &|id| id % 3 != 0);
-                let got = sharded.top_k_filtered(q, 9, &|id| id % 3 != 0);
-                assert_bit_identical(&truth, &got, &format!("filtered shards={shards} q={qi}"));
-            }
-        }
-    }
-}
-
-#[test]
-fn sharded_exact_via_store_config_matches_too() {
-    let (n, dim) = (400usize, 12usize);
-    let data = random_data(n, dim, 11);
-    let exact = StoreConfig::exact().build(dim, data.clone());
-    let queries = random_queries(5, dim, 12);
-    for shards in [2usize, 3, 7] {
-        let sharded = StoreConfig::exact()
-            .with_shards(shards)
-            .build(dim, data.clone());
-        for q in &queries {
-            assert_bit_identical(
-                &exact.top_k(q, 10),
-                &sharded.top_k(q, 10),
-                &format!("StoreConfig shards={shards}"),
-            );
-        }
-    }
-}
-
-#[test]
-fn sharded_f16_exact_is_bit_identical_to_unsharded_f16_exact() {
-    // The shard-invariance contract holds *per precision*: the f16
-    // sharded scan must reproduce the f16 unsharded scan bit for bit
-    // (per-shard encoding is element-wise, so it cannot depend on the
-    // partition), even though neither matches the f32 scan.
-    let (n, dim) = (500usize, 16usize);
-    let data = random_data(n, dim, 71);
-    let f16_cfg = StoreConfig::exact().with_precision(RowPrecision::F16);
-    let exact_f16 = f16_cfg.clone().build(dim, data.clone());
-    let queries = random_queries(6, dim, 72);
-    for shards in [2usize, 3, 7] {
-        let sharded = f16_cfg.clone().with_shards(shards).build(dim, data.clone());
-        for (qi, q) in queries.iter().enumerate() {
-            assert_bit_identical(
-                &exact_f16.top_k(q, 10),
-                &sharded.top_k(q, 10),
-                &format!("f16 shards={shards} q={qi}"),
-            );
-        }
     }
 }
 
@@ -210,7 +135,7 @@ fn spilled_rerank_rows_answer_bit_identically_and_shrink_residency() {
     let resident = |store: &AnyStore| match store {
         AnyStore::Exact(s) => s.rows().resident_bytes(),
         AnyStore::Ivf(s) => s.rows().resident_bytes(),
-        _ => unreachable!("spill test uses unsharded dense backends"),
+        AnyStore::Forest(_) => unreachable!("spill test uses dense backends"),
     };
     let cases = [
         ("exact-pq", StoreConfig::exact().with_precision(pq)),
@@ -257,9 +182,9 @@ fn mmap_loaded_stores_answer_bit_identically_to_in_ram_stores() {
     // format and mmap-loading it back must change *nothing* about its
     // answers — same ids, same score bits — for every backend at every
     // precision, at the default and at full candidate budget.
-    // (Backends without a zero-copy row layout — the RP forest
-    // and sharded stores — persist their raw rows and rebuild from the
-    // saved seed, so the same guarantee holds through reconstruction.)
+    // (The RP forest has no zero-copy row layout: it persists its raw
+    // rows and rebuilds from the saved seed, so the same guarantee
+    // holds through reconstruction.)
     use seesaw::vecstore::{load_store, save_store};
 
     let (n, dim) = (600usize, 16usize);
@@ -303,26 +228,6 @@ fn mmap_loaded_stores_answer_bit_identically_to_in_ram_stores() {
             "ivf-pq",
             StoreConfig::ivf(IvfConfig::default())
                 .with_precision(RowPrecision::Pq { m: 4, nbits: 8 }),
-        ),
-        ("sharded-exact", StoreConfig::exact().with_shards(3)),
-        (
-            "sharded-sq8",
-            StoreConfig::exact()
-                .with_precision(RowPrecision::Sq8)
-                .with_shards(3),
-        ),
-        (
-            "sharded-ivf",
-            StoreConfig::ivf(IvfConfig::default()).with_shards(2),
-        ),
-        (
-            "sharded-pq",
-            // Sharded stores persist raw rows and re-train on load; PQ
-            // training is seed-deterministic, so the rebuilt codebooks
-            // (and therefore every ADC score) must match bit for bit.
-            StoreConfig::exact()
-                .with_precision(RowPrecision::Pq { m: 4, nbits: 8 })
-                .with_shards(3),
         ),
     ];
     for (label, cfg) in configs {
@@ -432,63 +337,9 @@ fn recall_ivf_stays_above_floor() {
 }
 
 #[test]
-fn recall_sharded_approximate_backends_hold_their_floors() {
-    // Sharding an approximate backend re-partitions its training data;
-    // recall must not collapse (each shard is a smaller, easier index,
-    // so it typically *rises*).
-    let (n, dim) = (2000usize, 24usize);
-    let data = random_data(n, dim, 41);
-    let exact = ExactStore::new(dim, data.clone());
-    let queries = random_queries(15, dim, 42);
-    let forest = StoreConfig::forest(RpForestConfig::default())
-        .with_shards(4)
-        .build(dim, data.clone());
-    let recall = recall_at_k(&exact, &forest, &queries, 10);
-    assert!(recall > 0.85, "sharded forest recall@10 = {recall}");
-    let ivf = StoreConfig::ivf(IvfConfig::default())
-        .with_shards(4)
-        .build(dim, data.clone());
-    let recall = recall_at_k(&exact, &ivf, &queries, 10);
-    assert!(recall > 0.70, "sharded IVF recall@10 = {recall}");
-}
-
-#[test]
-fn engine_batches_identical_across_exact_shard_counts() {
-    // End-to-end through core: a session over a sharded-exact index
-    // hands out exactly the same images in the same order as over the
-    // unsharded exact index.
-    use seesaw::prelude::*;
-    use seesaw::vecstore::StoreConfig;
-
-    let ds = DatasetSpec::coco_like(0.001)
-        .with_max_queries(6)
-        .generate(55);
-    let build =
-        |cfg: StoreConfig| Preprocessor::new(PreprocessConfig::fast().with_store(cfg)).build(&ds);
-    let reference = build(StoreConfig::exact());
-    let concept = ds.queries()[0].concept;
-    let user = SimulatedUser::new(&ds);
-    for shards in [2usize, 3, 7] {
-        let sharded = build(StoreConfig::exact().with_shards(shards));
-        let mut a = Session::start(&reference, &ds, concept, MethodConfig::seesaw());
-        let mut b = Session::start(&sharded, &ds, concept, MethodConfig::seesaw());
-        for round in 0..6 {
-            let batch_a = a.next_batch(2);
-            let batch_b = b.next_batch(2);
-            assert_eq!(batch_a, batch_b, "shards={shards} round={round}");
-            for img in batch_a {
-                let fb = user.annotate(img, concept);
-                a.feedback(fb.clone());
-                b.feedback(fb);
-            }
-        }
-    }
-}
-
-#[test]
 fn every_backend_survives_a_full_session() {
     // The config plumbing end to end: preprocess + search with each
-    // backend (sharded and not) and make sure sessions behave.
+    // backend and make sure sessions behave.
     use seesaw::prelude::*;
     use seesaw::vecstore::StoreConfig;
 
@@ -499,9 +350,7 @@ fn every_backend_survives_a_full_session() {
     let concept = ds.queries()[0].concept;
     for cfg in [
         StoreConfig::forest(RpForestConfig::default()),
-        StoreConfig::forest(RpForestConfig::default()).with_shards(2),
         StoreConfig::ivf(IvfConfig::default()),
-        StoreConfig::ivf(IvfConfig::default()).with_shards(3),
     ] {
         let idx = Preprocessor::new(PreprocessConfig::fast().with_store(cfg.clone())).build(&ds);
         let mut session = Session::start(&idx, &ds, concept, MethodConfig::seesaw());
