@@ -191,7 +191,6 @@ struct QuantCell {
 /// of the PQ gates).
 fn quant_sweep(dim: usize, data: &[f32], queries: &[Vec<f32>], exact: &dyn VectorStore) {
     let n_elems = data.len();
-    let rerank_factor = seesaw_bench::bench_rerank_factor();
     assert!(
         dim.is_multiple_of(8),
         "quant sweep assumes a PQ-divisible dim, got {dim}"
@@ -227,15 +226,13 @@ fn quant_sweep(dim: usize, data: &[f32], queries: &[Vec<f32>], exact: &dyn Vecto
                 Option<usize>,
             ) = match backend {
                 "exact" => {
-                    let s = ExactStore::with_precision(dim, data.to_vec(), p)
-                        .with_rerank_factor(rerank_factor);
+                    let s = ExactStore::with_precision(dim, data.to_vec(), p);
                     let (sb, rb) = (s.rows().scan_bytes(), s.rows().resident_bytes());
                     (Box::new(s), sb, rb, None)
                 }
                 _ => {
                     let s =
-                        IvfStore::build_with_precision(dim, data.to_vec(), sweep_ivf.clone(), p)
-                            .with_rerank_factor(rerank_factor);
+                        IvfStore::build_with_precision(dim, data.to_vec(), sweep_ivf.clone(), p);
                     let (sb, rb) = (s.rows().scan_bytes(), s.rows().resident_bytes());
                     (Box::new(s), sb, rb, Some(sweep_ivf.n_probe))
                 }
@@ -330,7 +327,7 @@ fn quant_sweep(dim: usize, data: &[f32], queries: &[Vec<f32>], exact: &dyn Vecto
         eprintln!("[ablation_store] WARNING (gate skipped): {msg}");
     };
     let pq_512 = RowPrecision::Pq { m: 64, nbits: 8 };
-    let pq_store = ExactStore::with_precision(512, wide, pq_512).with_rerank_factor(rerank_factor);
+    let pq_store = ExactStore::with_precision(512, wide, pq_512);
     let pq512_scan = pq_store.rows().scan_bytes() as f64 / (n512 * 512) as f64;
     eprintln!("[ablation_store] dim-512 pq scan footprint: {pq512_scan:.4} bytes/element");
     gate(
@@ -376,7 +373,11 @@ fn quant_sweep(dim: usize, data: &[f32], queries: &[Vec<f32>], exact: &dyn Vecto
     let _ = writeln!(json, "  \"dim\": {dim},");
     let _ = writeln!(json, "  \"rows\": {},", n_elems / dim.max(1));
     let _ = writeln!(json, "  \"queries\": {},", queries.len());
-    let _ = writeln!(json, "  \"rerank_pool_factor\": {rerank_factor},");
+    let _ = writeln!(
+        json,
+        "  \"rerank_pool_factor\": {},",
+        seesaw_vecstore::RERANK_FACTOR
+    );
     let _ = writeln!(
         json,
         "  \"sq8_dim512_scan_bytes_per_element\": {dim512_scan:.4},"

@@ -26,18 +26,10 @@ pub fn bench_precision() -> RowPrecision {
     }
 }
 
-/// Quantized-tier re-rank pool factor for bench indexes
-/// (`SEESAW_RERANK_FACTOR` = N ≥ 1, default
-/// [`seesaw_vecstore::SQ8_RERANK_FACTOR`]). Shared by the SQ8 and PQ
-/// tiers; ignored by full-precision stores.
-pub fn bench_rerank_factor() -> usize {
-    env_usize("SEESAW_RERANK_FACTOR", seesaw_vecstore::SQ8_RERANK_FACTOR)
-}
-
 /// The vector-store backend for bench indexes, selected by environment
 /// (`SEESAW_STORE` = `forest` | `exact` | `ivf`,
-/// `SEESAW_PRECISION` = `f32` | `f16` | `sq8` | `pq<m>x<nbits>`,
-/// `SEESAW_RERANK_FACTOR` = N) instead of hardcoding one — every
+/// `SEESAW_PRECISION` = `f32` | `f16` | `sq8` | `pq<m>x<nbits>`)
+/// instead of hardcoding one — every
 /// harness that builds through [`build_indexes`] runs against
 /// whichever backend the caller picks.
 ///
@@ -57,7 +49,6 @@ pub fn bench_store_config() -> StoreConfig {
         },
     };
     cfg.with_precision(bench_precision())
-        .with_rerank_factor(bench_rerank_factor())
 }
 
 /// The four paper datasets at bench scale, in the paper's column order

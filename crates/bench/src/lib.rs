@@ -25,8 +25,8 @@ pub mod experiments;
 pub mod usersim;
 
 pub use context::{
-    bench_precision, bench_rerank_factor, bench_seed, bench_store_config, bench_suite,
-    build_indexes, BuiltDataset, IndexNeeds,
+    bench_precision, bench_seed, bench_store_config, bench_suite, build_indexes, BuiltDataset,
+    IndexNeeds,
 };
 pub use experiments::{ap_per_query, hard_subset, mean_ap, select_hard, MethodFactory};
 pub use usersim::{simulate_task_time, AnnotationModel, UserSimConfig};

@@ -389,8 +389,7 @@ mod tests {
                     .with_precision(RowPrecision::Sq8),
                 StoreConfig::exact().with_precision(RowPrecision::Pq { m: 16, nbits: 8 }),
                 StoreConfig::ivf(seesaw_vecstore::IvfConfig::default())
-                    .with_precision(RowPrecision::Pq { m: 16, nbits: 8 })
-                    .with_rerank_factor(6),
+                    .with_precision(RowPrecision::Pq { m: 16, nbits: 8 }),
             ];
             for (i, store_cfg) in configs.into_iter().enumerate() {
                 // Graphs off: this test is about the store round trip.

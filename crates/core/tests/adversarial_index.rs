@@ -22,8 +22,8 @@ use seesaw_core::{load_index, save_index, PersistError, PreprocessConfig, Prepro
 use seesaw_dataset::DatasetSpec;
 use seesaw_vecstore::diskindex::{section, SECTION_ALIGN};
 use seesaw_vecstore::{
-    load_store, save_store, store_from_file, AnyStore, DiskIndexError, IndexFile, IndexFileBuilder,
-    StoreConfig,
+    encode_store, load_store, save_store, store_from_file, AnyStore, DiskIndexError, IndexFile,
+    IndexFileBuilder, RowPrecision, StoreConfig, RERANK_FACTOR,
 };
 
 const HEADER_LEN: usize = 32;
@@ -291,17 +291,25 @@ fn header_and_table_bytes_never_panic_when_flipped() {
     }
 }
 
-/// A checksum-valid exact-backend store file that rebuilds from
-/// `RAW_ROWS`, with the given value in the `STORE_META` shards slot.
-fn crafted_store(shards: u64) -> Vec<u8> {
-    let (dim, rows) = (8u64, 4u64);
+/// An exact-backend `STORE_META` payload: the precision tag, then
+/// `fields` as u64s (shards slot, dim, n_rows, then the trailing
+/// extras: re-rank slot, PQ m, PQ nbits).
+fn exact_meta(precision_tag: u32, fields: &[u64]) -> Vec<u8> {
     let mut meta = Vec::new();
     meta.extend_from_slice(&0u32.to_le_bytes()); // backend: exact
-    meta.extend_from_slice(&0u32.to_le_bytes()); // precision: f32
-    for field in [shards, dim, rows, 4] {
-        // shards slot, dim, n_rows, re-rank factor
+    meta.extend_from_slice(&precision_tag.to_le_bytes());
+    for field in fields {
         meta.extend_from_slice(&field.to_le_bytes());
     }
+    meta
+}
+
+/// A checksum-valid exact-backend store file that rebuilds from
+/// `RAW_ROWS`, with the given `STORE_META` shards slot and trailing
+/// extras.
+fn crafted_store(shards: u64, trailer: &[u64]) -> Vec<u8> {
+    let (dim, rows) = (8u64, 4u64);
+    let meta = exact_meta(0, &[&[shards, dim, rows], trailer].concat());
     let raw: Vec<u8> = (0..dim * rows)
         .flat_map(|i| (i as f32).sin().to_le_bytes())
         .collect();
@@ -315,7 +323,7 @@ fn crafted_store(shards: u64) -> Vec<u8> {
 fn store_meta_shards_slot_other_than_one_is_bad_header() {
     // The slot is reserved: 1 (as written) or 0 loads the one store.
     for ok in [0u64, 1] {
-        let file = IndexFile::from_bytes(crafted_store(ok)).unwrap();
+        let file = IndexFile::from_bytes(crafted_store(ok, &[4])).unwrap();
         let store = store_from_file(&file);
         assert!(
             matches!(store, Ok(AnyStore::Exact(_))),
@@ -325,11 +333,110 @@ fn store_meta_shards_slot_other_than_one_is_bad_header() {
     // Any other count is a typed error before anything is built from
     // it: a huge count must not size an allocation or a loop.
     for bad in [3u64, 2, 1 << 28, 1 << 40, u64::MAX] {
-        let file = IndexFile::from_bytes(crafted_store(bad)).unwrap();
+        let file = IndexFile::from_bytes(crafted_store(bad, &[4])).unwrap();
         let got = store_from_file(&file).map(|_| ());
         assert!(
             matches!(got, Err(DiskIndexError::BadHeader(_))),
             "shards slot {bad}: expected BadHeader, got {got:?}"
+        );
+    }
+}
+
+#[test]
+fn store_meta_rerank_slot_other_than_default_is_bad_header() {
+    // The slot is reserved: the re-rank factor (as written) loads, and
+    // so does a file with no trailing extras at all.
+    for trailer in [&[RERANK_FACTOR as u64][..], &[]] {
+        let file = IndexFile::from_bytes(crafted_store(1, trailer)).unwrap();
+        let store = store_from_file(&file);
+        assert!(
+            matches!(store, Ok(AnyStore::Exact(_))),
+            "trailer {trailer:?}: {store:?}"
+        );
+    }
+    // Any other value is a typed error, never a pool size.
+    for bad in [7u64, 0, 1, 8, u64::MAX] {
+        let file = IndexFile::from_bytes(crafted_store(1, &[bad])).unwrap();
+        let got = store_from_file(&file).map(|_| ());
+        assert!(
+            matches!(got, Err(DiskIndexError::BadHeader(_))),
+            "re-rank slot {bad}: expected BadHeader, got {got:?}"
+        );
+    }
+}
+
+#[test]
+fn pq_store_with_empty_rerank_rows_is_bad_header() {
+    // A real exact-PQ store (64 rows, dim 8) re-saved with an empty
+    // `PQ_RERANK_ROWS`. Re-ranking reads every pooled row from that
+    // section, so the file must not load (it used to load, then panic
+    // on the first query's re-rank slice).
+    let (dim, rows) = (8usize, 64usize);
+    let data: Vec<f32> = (0..rows * dim).map(|i| (i as f32).sin()).collect();
+    let store = StoreConfig::exact()
+        .with_precision(RowPrecision::Pq { m: 4, nbits: 4 })
+        .build(dim, data);
+    let file = IndexFile::from_bytes(encode_store(&store)).unwrap();
+    let mut b = IndexFileBuilder::new();
+    for kind in [
+        section::STORE_META,
+        section::PQ_CODES,
+        section::PQ_CODEBOOKS,
+    ] {
+        b.section(kind, file.section_bytes(kind).unwrap().to_vec());
+    }
+    b.section(section::PQ_RERANK_ROWS, Vec::new());
+    let got = store_from_file(&IndexFile::from_bytes(b.to_bytes()).unwrap()).map(|_| ());
+    assert!(
+        matches!(got, Err(DiskIndexError::BadHeader(_))),
+        "expected BadHeader, got {got:?}"
+    );
+}
+
+#[test]
+fn store_meta_with_overflowing_sizes_is_bad_header() {
+    // Section sizes derived from a crafted dim or row count overflow
+    // usize. Each must be a typed error, not an overflow panic (debug)
+    // or a wrapped size that loads (release). Fields: shards slot, dim,
+    // n_rows, re-rank slot, then PQ m and nbits.
+    let rf = RERANK_FACTOR as u64;
+    let cases: [(&str, u32, Vec<u64>, Vec<u32>); 3] = [
+        (
+            // The PQ codebook size m·2^nbits·dim/m with dim 2^60.
+            "pq geometry",
+            3,
+            vec![1, 1 << 60, 0, rf, 1, 8],
+            vec![
+                section::PQ_CODES,
+                section::PQ_CODEBOOKS,
+                section::PQ_RERANK_ROWS,
+            ],
+        ),
+        (
+            // Two sq8 parameters per row with 2^63 rows.
+            "sq8 params",
+            2,
+            vec![1, 1, 1 << 63, rf],
+            vec![section::SQ8_CODES, section::SQ8_PARAMS, section::SQ8_SOURCE],
+        ),
+        (
+            // The rebuild-on-load row count 16 · 2^60.
+            "raw rows",
+            0,
+            vec![1, 1 << 60, 16, rf],
+            vec![section::RAW_ROWS],
+        ),
+    ];
+    for (label, precision_tag, fields, kinds) in cases {
+        let mut b = IndexFileBuilder::new();
+        b.section(section::STORE_META, exact_meta(precision_tag, &fields));
+        for kind in kinds {
+            b.section(kind, Vec::new());
+        }
+        let got = store_from_file(&IndexFile::from_bytes(b.to_bytes()).unwrap()).map(|_| ());
+        assert!(
+            matches!(got, Err(DiskIndexError::BadHeader(_))),
+            "{label}: expected BadHeader, got {got:?}"
         );
     }
 }

@@ -6,7 +6,7 @@
 
 use crate::{
     ExactStore, Hit, IvfConfig, IvfStore, KeepFn, RowPrecision, RpForest, RpForestConfig,
-    VectorStore, SQ8_RERANK_FACTOR,
+    VectorStore,
 };
 
 /// Which vector-store backend to build. The dense-row backends (exact
@@ -16,10 +16,8 @@ use crate::{
 pub enum StoreConfig {
     /// Brute-force scan — the accuracy reference.
     Exact {
-        /// Row storage precision (`f32` default, `f16` half-width).
+        /// Row storage precision (`f32` default).
         precision: RowPrecision,
-        /// Re-rank pool factor for the quantized tiers (SQ8, PQ).
-        rerank_factor: usize,
     },
     /// Annoy-style random-projection forest (the paper's store).
     RpForest {
@@ -30,10 +28,8 @@ pub enum StoreConfig {
     Ivf {
         /// IVF build parameters.
         config: IvfConfig,
-        /// Row storage precision (`f32` default, `f16` half-width).
+        /// Row storage precision (`f32` default).
         precision: RowPrecision,
-        /// Re-rank pool factor for the quantized tiers (SQ8, PQ).
-        rerank_factor: usize,
     },
 }
 
@@ -49,7 +45,6 @@ impl StoreConfig {
     pub fn exact() -> Self {
         Self::Exact {
             precision: RowPrecision::F32,
-            rerank_factor: SQ8_RERANK_FACTOR,
         }
     }
 
@@ -63,7 +58,6 @@ impl StoreConfig {
         Self::Ivf {
             config,
             precision: RowPrecision::F32,
-            rerank_factor: SQ8_RERANK_FACTOR,
         }
     }
 
@@ -75,33 +69,6 @@ impl StoreConfig {
             Self::RpForest { .. } => {}
         }
         self
-    }
-
-    /// Set the quantized-tier re-rank pool factor (builder style):
-    /// `k × factor` candidates survive the SQ8/PQ code scan and get
-    /// exact re-scoring against the f32 source rows. A no-op on the
-    /// RP forest. Default [`SQ8_RERANK_FACTOR`].
-    ///
-    /// # Panics
-    /// Panics when `factor` is zero.
-    pub fn with_rerank_factor(mut self, factor: usize) -> Self {
-        assert!(factor >= 1, "rerank factor must be at least 1");
-        match &mut self {
-            Self::Exact { rerank_factor, .. } | Self::Ivf { rerank_factor, .. } => {
-                *rerank_factor = factor
-            }
-            Self::RpForest { .. } => {}
-        }
-        self
-    }
-
-    /// The quantized-tier re-rank pool factor (the RP forest reports
-    /// the default).
-    pub fn rerank_factor(&self) -> usize {
-        match self {
-            Self::Exact { rerank_factor, .. } | Self::Ivf { rerank_factor, .. } => *rerank_factor,
-            Self::RpForest { .. } => SQ8_RERANK_FACTOR,
-        }
     }
 
     /// Row-storage precision (the RP forest always reports
@@ -152,24 +119,18 @@ impl StoreConfig {
     /// Panics when the buffer is not a multiple of `dim`.
     pub fn build(&self, dim: usize, data: Vec<f32>) -> AnyStore {
         match self {
-            Self::Exact {
-                precision,
-                rerank_factor,
-            } => AnyStore::Exact(
-                ExactStore::with_precision(dim, data, *precision)
-                    .with_rerank_factor(*rerank_factor),
-            ),
+            Self::Exact { precision } => {
+                AnyStore::Exact(ExactStore::with_precision(dim, data, *precision))
+            }
             Self::RpForest { config } => {
                 AnyStore::Forest(RpForest::build(dim, data, config.clone()))
             }
-            Self::Ivf {
-                config,
-                precision,
-                rerank_factor,
-            } => AnyStore::Ivf(
-                IvfStore::build_with_precision(dim, data, config.clone(), *precision)
-                    .with_rerank_factor(*rerank_factor),
-            ),
+            Self::Ivf { config, precision } => AnyStore::Ivf(IvfStore::build_with_precision(
+                dim,
+                data,
+                config.clone(),
+                *precision,
+            )),
         }
     }
 }

@@ -51,7 +51,7 @@ use std::sync::Arc;
 use crate::storage::{PqRows, RowPrecision, RowStorage, Sq8Rows};
 use crate::{
     AnyStore, ExactStore, IvfConfig, IvfStore, RpForestConfig, StoreConfig, VectorStore,
-    SQ8_RERANK_FACTOR,
+    RERANK_FACTOR,
 };
 
 #[cfg(target_endian = "big")]
@@ -106,10 +106,8 @@ pub mod section {
     pub const PQ_CODEBOOKS: u32 = 11;
     /// PQ u8 code matrix (`n_rows × m`, row-major).
     pub const PQ_CODES: u32 = 12;
-    /// Exact f32 re-rank source rows for a quantized tier. Written as
-    /// part of every PQ index, and as the sole section of the sidecar
-    /// file [`super::spill_rerank_rows`] produces; loaded as a mapped
-    /// (demand-paged) view either way.
+    /// PQ exact f32 re-rank source rows (`n_rows × dim`, row-major),
+    /// loaded as a mapped (demand-paged) view.
     pub const PQ_RERANK_ROWS: u32 = 13;
 }
 
@@ -825,9 +823,10 @@ fn encode_meta(config: &StoreConfig, dim: usize, n_rows: usize) -> Vec<u8> {
         w.extend_from_slice(&x.to_le_bytes());
     }
     // Trailing extras after the backend block, length-driven on decode
-    // (older files omit them entirely): the quantized-tier re-rank
-    // pool factor, and the PQ geometry when the precision is PQ.
-    w.extend_from_slice(&(config.rerank_factor() as u64).to_le_bytes());
+    // (older files omit them entirely): the re-rank slot (reserved,
+    // always `RERANK_FACTOR`), and the PQ geometry when the precision
+    // is PQ.
+    w.extend_from_slice(&(RERANK_FACTOR as u64).to_le_bytes());
     if let RowPrecision::Pq { m, nbits } = config.precision() {
         w.extend_from_slice(&(m as u64).to_le_bytes());
         w.extend_from_slice(&(nbits as u64).to_le_bytes());
@@ -865,26 +864,24 @@ fn decode_meta(bytes: &[u8]) -> Result<StoreMeta, DiskIndexError> {
         .map(|i| read_u64(bytes, fixed + 8 * i))
         .collect();
     // Trailing extras, length-driven so pre-PQ files (no tail) keep
-    // decoding: 8 bytes carry the re-rank pool factor, 24 add the PQ
-    // geometry (required when the precision tag is PQ).
-    let (rerank_factor, pq_geom) = match bytes.len() - backend_end {
-        0 => (SQ8_RERANK_FACTOR as u64, None),
-        8 => (read_u64(bytes, backend_end), None),
-        24 => (
-            read_u64(bytes, backend_end),
-            Some((
-                read_u64(bytes, backend_end + 8),
-                read_u64(bytes, backend_end + 16),
-            )),
-        ),
+    // decoding: 8 bytes carry the reserved re-rank slot, 24 add the PQ
+    // geometry (required when the precision tag is PQ). The slot is
+    // always `RERANK_FACTOR`; any other value is rejected, never acted
+    // on.
+    let pq_geom = match bytes.len() - backend_end {
+        0 => None,
+        8 | 24 if read_u64(bytes, backend_end) != RERANK_FACTOR as u64 => {
+            return Err(DiskIndexError::BadHeader(
+                "store meta re-rank slot is not RERANK_FACTOR",
+            ));
+        }
+        8 => None,
+        24 => Some((
+            read_u64(bytes, backend_end + 8),
+            read_u64(bytes, backend_end + 16),
+        )),
         _ => return Err(DiskIndexError::BadHeader("store meta length mismatch")),
     };
-    if rerank_factor == 0 {
-        return Err(DiskIndexError::BadHeader(
-            "store meta has zero rerank factor",
-        ));
-    }
-    let rerank_factor = rerank_factor as usize;
     let precision = match precision_tag {
         0 => RowPrecision::F32,
         1 => RowPrecision::F16,
@@ -904,10 +901,7 @@ fn decode_meta(bytes: &[u8]) -> Result<StoreMeta, DiskIndexError> {
         _ => return Err(DiskIndexError::BadHeader("unknown precision tag")),
     };
     let config = match backend {
-        BACKEND_EXACT => StoreConfig::Exact {
-            precision,
-            rerank_factor,
-        },
+        BACKEND_EXACT => StoreConfig::Exact { precision },
         BACKEND_FOREST => StoreConfig::RpForest {
             config: RpForestConfig {
                 n_trees: e[0] as usize,
@@ -924,7 +918,6 @@ fn decode_meta(bytes: &[u8]) -> Result<StoreMeta, DiskIndexError> {
                 seed: e[3],
             },
             precision,
-            rerank_factor,
         },
         _ => unreachable!("backend tag validated above"),
     };
@@ -976,7 +969,7 @@ fn rows_from_file(
             let codes = file.section_slice::<u8>(section::SQ8_CODES)?;
             let params = file.section_slice::<f32>(section::SQ8_PARAMS)?;
             let source = file.section_slice::<f32>(section::SQ8_SOURCE)?;
-            if params.len() != 2 * n_rows || source.len() != want {
+            if Some(params.len()) != n_rows.checked_mul(2) || source.len() != want {
                 return Err(DiskIndexError::BadHeader("sq8 section shape mismatch"));
             }
             RowStorage::Sq8(Sq8Rows::from_parts(
@@ -986,16 +979,18 @@ fn rows_from_file(
             ))
         }
         RowPrecision::Pq { m, nbits } => {
-            // decode_meta validated m | dim, m > 0, 1 ≤ nbits ≤ 8.
+            // decode_meta validated m | dim, m > 0, 1 ≤ nbits ≤ 8; the
+            // section sizes can still overflow on a crafted dim.
             let dsub = dim / m;
             let k = 1usize << nbits;
+            let (n_codes, n_codebook) = n_rows
+                .checked_mul(m)
+                .zip(m.checked_mul(k).and_then(|mk| mk.checked_mul(dsub)))
+                .ok_or(DiskIndexError::BadHeader("pq geometry overflows"))?;
             let codes = file.section_slice::<u8>(section::PQ_CODES)?;
             let codebooks = file.section_slice::<f32>(section::PQ_CODEBOOKS)?;
             let source = file.section_slice::<f32>(section::PQ_RERANK_ROWS)?;
-            if codes.len() != n_rows * m || codebooks.len() != m * k * dsub {
-                return Err(DiskIndexError::BadHeader("pq section shape mismatch"));
-            }
-            if !source.is_empty() && source.len() != want {
+            if codes.len() != n_codes || codebooks.len() != n_codebook || source.len() != want {
                 return Err(DiskIndexError::BadHeader("pq section shape mismatch"));
             }
             // Every section stays a mapped view. The re-rank source in
@@ -1028,7 +1023,6 @@ pub fn encode_store(store: &AnyStore) -> Vec<u8> {
             row_sections(&mut b, s.rows());
             StoreConfig::Exact {
                 precision: s.precision(),
-                rerank_factor: s.rerank_factor(),
             }
         }
         AnyStore::Ivf(s) => {
@@ -1046,7 +1040,6 @@ pub fn encode_store(store: &AnyStore) -> Vec<u8> {
             StoreConfig::Ivf {
                 config: s.config().clone(),
                 precision: s.precision(),
-                rerank_factor: s.rerank_factor(),
             }
         }
         AnyStore::Forest(s) => {
@@ -1098,28 +1091,17 @@ pub fn store_from_file(file: &IndexFile) -> Result<AnyStore, DiskIndexError> {
         // construction from the original-order rows and the saved
         // build config.
         let raw = file.section_slice::<f32>(section::RAW_ROWS)?;
-        if raw.len() != n_rows * dim {
+        if Some(raw.len()) != n_rows.checked_mul(dim) {
             return Err(DiskIndexError::BadHeader("row section shape mismatch"));
         }
         return Ok(config.build(dim, raw.to_vec()));
     }
     match config {
-        StoreConfig::Exact {
-            precision,
-            rerank_factor,
-            ..
-        } => {
+        StoreConfig::Exact { precision } => {
             let rows = rows_from_file(file, precision, dim, n_rows)?;
-            Ok(AnyStore::Exact(
-                ExactStore::from_storage(dim, rows).with_rerank_factor(rerank_factor),
-            ))
+            Ok(AnyStore::Exact(ExactStore::from_storage(dim, rows)))
         }
-        StoreConfig::Ivf {
-            config,
-            precision,
-            rerank_factor,
-            ..
-        } => {
+        StoreConfig::Ivf { config, precision } => {
             let rows = rows_from_file(file, precision, dim, n_rows)?;
             let centroids = file.section_slice::<f32>(section::IVF_CENTROIDS)?.to_vec();
             if centroids.len() % dim != 0 {
@@ -1146,10 +1128,9 @@ pub fn store_from_file(file: &IndexFile) -> Result<AnyStore, DiskIndexError> {
             if offsets[n_lists] as usize != ids.len() {
                 return Err(DiskIndexError::BadHeader("ivf list offsets malformed"));
             }
-            Ok(AnyStore::Ivf(
-                IvfStore::from_parts(dim, rows, centroids, lists, config)
-                    .with_rerank_factor(rerank_factor),
-            ))
+            Ok(AnyStore::Ivf(IvfStore::from_parts(
+                dim, rows, centroids, lists, config,
+            )))
         }
         StoreConfig::RpForest { .. } => Err(DiskIndexError::MissingSection {
             kind: section::RAW_ROWS,
@@ -1160,41 +1141,6 @@ pub fn store_from_file(file: &IndexFile) -> Result<AnyStore, DiskIndexError> {
 /// Map `path` and reconstruct the store it holds.
 pub fn load_store(path: &Path) -> Result<AnyStore, DiskIndexError> {
     store_from_file(&IndexFile::open(path)?)
-}
-
-/// Spill the f32 re-rank source rows of an in-memory quantized store
-/// (SQ8 or PQ) to a `SSAWIDX1` sidecar file at `path` and swap the
-/// owned buffer for a mapped (demand-paged) view of that file.
-///
-/// After a successful spill the store answers every query bit-for-bit
-/// identically — re-ranking reads the same bytes through the page
-/// cache — but [`RowStorage::resident_bytes`] no longer counts the
-/// source rows, so an in-RAM PQ build reaches the same
-/// codes-plus-codebooks steady-state hot set as a store loaded via
-/// [`load_store`]. Returns `true` if rows were spilled; `false` (and
-/// no file is written) when the store has no re-rank tier, the source
-/// is already mapped, or the store is a forest (which rebuilds from
-/// raw rows and holds no spillable source).
-pub fn spill_rerank_rows(store: &mut AnyStore, path: &Path) -> Result<bool, DiskIndexError> {
-    let storage = match store {
-        AnyStore::Exact(s) => s.rows_mut(),
-        AnyStore::Ivf(s) => s.rows_mut(),
-        AnyStore::Forest(_) => return Ok(false),
-    };
-    let Some(source) = storage.rerank_source_mut() else {
-        return Ok(false);
-    };
-    if source.is_mapped() || source.is_empty() {
-        return Ok(false);
-    }
-    let mut b = IndexFileBuilder::new();
-    b.section(section::PQ_RERANK_ROWS, le_bytes_f32(source));
-    b.write_to_file(path)?;
-    let file = IndexFile::open(path)?;
-    let view = file.section_slice::<f32>(section::PQ_RERANK_ROWS)?;
-    debug_assert_eq!(view.len(), source.len());
-    *source = view.into();
-    Ok(true)
 }
 
 #[cfg(test)]
@@ -1376,9 +1322,7 @@ mod tests {
             StoreConfig::ivf(IvfConfig::default()).with_precision(RowPrecision::F16),
             StoreConfig::ivf(IvfConfig::default()).with_precision(RowPrecision::Sq8),
             StoreConfig::exact().with_precision(RowPrecision::Pq { m: 4, nbits: 8 }),
-            StoreConfig::exact()
-                .with_precision(RowPrecision::Pq { m: 8, nbits: 5 })
-                .with_rerank_factor(7),
+            StoreConfig::exact().with_precision(RowPrecision::Pq { m: 8, nbits: 5 }),
             StoreConfig::ivf(IvfConfig::default())
                 .with_precision(RowPrecision::Pq { m: 4, nbits: 8 }),
         ];

@@ -5,7 +5,7 @@
 //! accuracy metrics in our benchmarks using Annoy vs an exact but slow
 //! scan" (§2.2); our integration tests quantify the same comparison.
 
-use crate::{Hit, KeepFn, RowPrecision, RowStorage, TopKSelector, VectorStore, SQ8_RERANK_FACTOR};
+use crate::{Hit, KeepFn, RowPrecision, RowStorage, TopKSelector, VectorStore};
 
 /// Rows scored per block. The kernel re-blocks internally for cache
 /// residency; this only bounds the per-call score scratch.
@@ -13,23 +13,14 @@ const SCAN_BLOCK: usize = 64;
 
 /// A dense, row-major collection of vectors scanned exhaustively.
 ///
-/// Rows live in a [`RowStorage`] buffer: plain `f32` by default, the
-/// half-precision tier ([`RowPrecision::F16`]) which halves scan
-/// bandwidth while keeping f32 accumulation, or the quantized tiers —
-/// scalar ([`RowPrecision::Sq8`], 1 B/element codes) and product
-/// ([`RowPrecision::Pq`], `m` bytes/row scanned through per-query ADC
-/// tables) — which exactly re-rank the top `k × rerank_factor`
-/// candidates against the f32 source rows (default
-/// [`SQ8_RERANK_FACTOR`], see [`ExactStore::with_rerank_factor`]) —
-/// see the `storage` module docs for the precision semantics.
+/// Rows live in a [`RowStorage`] buffer at any [`RowPrecision`]. The
+/// store only walks the rows in blocks; how a block scores and whether
+/// the candidate pool is re-ranked exactly belong to the storage tier
+/// (see the `storage` module docs).
 #[derive(Clone, Debug)]
 pub struct ExactStore {
     dim: usize,
     rows: RowStorage,
-    /// Candidate-pool multiplier for the quantized tiers (`k ×
-    /// rerank_factor` candidates survive the code scan and get exact
-    /// re-scoring). [`SQ8_RERANK_FACTOR`] by default.
-    rerank_factor: usize,
 }
 
 impl ExactStore {
@@ -38,7 +29,7 @@ impl ExactStore {
     /// # Panics
     /// Panics when the buffer is not a multiple of `dim`.
     pub fn new(dim: usize, data: Vec<f32>) -> Self {
-        Self::with_precision(dim, data, RowPrecision::F32)
+        Self::with_precision(dim, data, RowPrecision::default())
     }
 
     /// Build from a row-major `f32` buffer, storing rows at the
@@ -52,7 +43,6 @@ impl ExactStore {
         Self {
             dim,
             rows: RowStorage::encode(precision, dim, data),
-            rerank_factor: SQ8_RERANK_FACTOR,
         }
     }
 
@@ -65,28 +55,7 @@ impl ExactStore {
     pub fn from_storage(dim: usize, rows: RowStorage) -> Self {
         assert!(dim > 0, "dimension must be positive");
         assert_eq!(rows.len() % dim, 0, "buffer is not a multiple of dim");
-        Self {
-            dim,
-            rows,
-            rerank_factor: SQ8_RERANK_FACTOR,
-        }
-    }
-
-    /// Set the quantized-tier re-rank pool factor (builder style).
-    /// Changing it changes which candidates survive the code scan, so
-    /// persistence records it to keep loaded stores bit-identical.
-    ///
-    /// # Panics
-    /// Panics when `factor` is zero.
-    pub fn with_rerank_factor(mut self, factor: usize) -> Self {
-        assert!(factor >= 1, "rerank factor must be at least 1");
-        self.rerank_factor = factor;
-        self
-    }
-
-    /// The quantized-tier re-rank pool factor.
-    pub fn rerank_factor(&self) -> usize {
-        self.rerank_factor
+        Self { dim, rows }
     }
 
     /// Borrow the underlying row storage (the persistence layer
@@ -95,80 +64,9 @@ impl ExactStore {
         &self.rows
     }
 
-    /// Mutable row storage — only for `crate::diskindex`'s re-rank-row
-    /// spill hook.
-    pub(crate) fn rows_mut(&mut self) -> &mut RowStorage {
-        &mut self.rows
-    }
-
     /// The row-storage precision.
     pub fn precision(&self) -> RowPrecision {
         self.rows.precision()
-    }
-
-    /// The candidate-pool size the scan selects before re-ranking:
-    /// `k × rerank_factor` for the quantized tiers (SQ8, PQ), `k` (no
-    /// rerank pass) for the exact-scoring tiers.
-    fn pool_k(&self, k: usize) -> usize {
-        if self.rows.precision().is_quantized() {
-            k.saturating_mul(self.rerank_factor)
-        } else {
-            k
-        }
-    }
-
-    /// Collapse a scanned candidate pool to the final top-`k`. For the
-    /// exact-scoring tiers the pool *is* the answer; for SQ8 and PQ
-    /// each candidate is re-scored exactly against its f32 source row,
-    /// so final scores are true inner products.
-    fn rerank(&self, query: &[f32], k: usize, pool: Vec<Hit>) -> Vec<Hit> {
-        if !self.rows.precision().is_quantized() {
-            return pool;
-        }
-        let mut sel = TopKSelector::new(k);
-        for h in pool {
-            sel.insert(h.id, self.rows.rerank_dot_row(self.dim, h.id, query));
-        }
-        sel.into_sorted_hits()
-    }
-
-    /// Borrow vector `id`. Only available with `f32` row storage; use
-    /// [`ExactStore::row_into`] to read rows independent of precision.
-    ///
-    /// # Panics
-    /// Panics when the store uses a compressed row tier.
-    #[inline]
-    pub fn vector(&self, id: u32) -> &[f32] {
-        let data = self
-            .rows
-            .as_f32()
-            .expect("ExactStore::vector requires f32 row storage; use row_into");
-        let i = id as usize * self.dim;
-        &data[i..i + self.dim]
-    }
-
-    /// Decode vector `id` into `out` (works at every precision; exact
-    /// — f16 widening never rounds).
-    ///
-    /// # Panics
-    /// Panics when `out.len() != dim` or the row is out of bounds.
-    pub fn row_into(&self, id: u32, out: &mut [f32]) {
-        self.rows.row_into(self.dim, id, out);
-    }
-
-    /// Iterate over all `(id, vector)` pairs. Only available with
-    /// `f32` row storage (see [`ExactStore::vector`]).
-    ///
-    /// # Panics
-    /// Panics when the store uses a compressed row tier.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, &[f32])> {
-        let data = self
-            .rows
-            .as_f32()
-            .expect("ExactStore::iter requires f32 row storage; use row_into");
-        data.chunks_exact(self.dim)
-            .enumerate()
-            .map(|(i, v)| (i as u32, v))
     }
 }
 
@@ -192,31 +90,22 @@ impl VectorStore for ExactStore {
         // beats both sorting the whole score vector and the historical
         // per-candidate sorted insert.
         let n = self.len();
-        let mut sel = TopKSelector::new(self.pool_k(k));
+        let scorer = self.rows.scorer(self.dim, query);
+        let mut sel = TopKSelector::new(self.rows.pool_k(k));
         let mut scores = [0.0f32; SCAN_BLOCK];
         let mut id = 0u32;
-        // PQ scores through a per-query ADC table, built once here and
-        // shared by every block (`None` for the other tiers).
-        let lut = self.rows.pq_lut(self.dim, query);
         for start in (0..n).step_by(SCAN_BLOCK) {
             let end = (start + SCAN_BLOCK).min(n);
-            let rows = end - start;
-            match &lut {
-                Some(lut) => self
-                    .rows
-                    .scan_pq_range(start..end, lut, &mut scores[..rows]),
-                None => self
-                    .rows
-                    .gemv1_range(self.dim, start..end, query, &mut scores[..rows]),
-            }
-            for &score in &scores[..rows] {
+            let block = &mut scores[..end - start];
+            scorer.score_range(start..end, block);
+            for &score in block.iter() {
                 if keep(id) {
                     sel.insert(id, score);
                 }
                 id += 1;
             }
         }
-        self.rerank(query, k, sel.into_sorted_hits())
+        self.rows.rerank(self.dim, query, k, sel.into_sorted_hits())
     }
 }
 

@@ -20,7 +20,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use seesaw_linalg::{add_scaled, dot, normalize_rows, scale};
 
-use crate::{Hit, KeepFn, RowPrecision, RowStorage, TopKSelector, VectorStore, SQ8_RERANK_FACTOR};
+use crate::{Hit, KeepFn, RowPrecision, RowStorage, TopKSelector, VectorStore};
 
 /// Build-time configuration for [`IvfStore`].
 #[derive(Clone, Debug)]
@@ -49,10 +49,12 @@ impl Default for IvfConfig {
 
 /// The inverted-file MIPS index.
 ///
-/// Rows live in a [`RowStorage`] buffer (`f32` by default, or the
-/// half-precision tier via [`IvfStore::build_with_precision`]); the
-/// centroids always stay `f32` — they are tiny, and probe ranking
-/// quality is what recall hinges on.
+/// Rows live in a [`RowStorage`] buffer at any [`RowPrecision`]
+/// ([`IvfStore::build_with_precision`]). The store only chooses which
+/// lists to walk; how a row scores and whether the candidate pool is
+/// re-ranked exactly belong to the storage tier (see the `storage`
+/// module docs). The centroids always stay `f32` — they are tiny, and
+/// probe ranking quality is what recall hinges on.
 #[derive(Clone, Debug)]
 pub struct IvfStore {
     dim: usize,
@@ -62,9 +64,6 @@ pub struct IvfStore {
     /// Row ids bucketed by centroid, ascending within each list.
     lists: Vec<Vec<u32>>,
     config: IvfConfig,
-    /// Candidate-pool multiplier for the quantized tiers (SQ8, PQ);
-    /// [`SQ8_RERANK_FACTOR`] by default.
-    rerank_factor: usize,
 }
 
 impl IvfStore {
@@ -73,7 +72,7 @@ impl IvfStore {
     /// # Panics
     /// Panics when the buffer is not a multiple of `dim`.
     pub fn build(dim: usize, data: Vec<f32>, config: IvfConfig) -> Self {
-        Self::build_with_precision(dim, data, config, RowPrecision::F32)
+        Self::build_with_precision(dim, data, config, RowPrecision::default())
     }
 
     /// Build over a row-major `f32` buffer, storing the gathered-scan
@@ -187,7 +186,6 @@ impl IvfStore {
             centroids,
             lists,
             config,
-            rerank_factor: SQ8_RERANK_FACTOR,
         }
     }
 
@@ -224,36 +222,13 @@ impl IvfStore {
             centroids,
             lists,
             config,
-            rerank_factor: SQ8_RERANK_FACTOR,
         }
-    }
-
-    /// Set the quantized-tier re-rank pool factor (builder style) —
-    /// see `ExactStore::with_rerank_factor` for the contract.
-    ///
-    /// # Panics
-    /// Panics when `factor` is zero.
-    pub fn with_rerank_factor(mut self, factor: usize) -> Self {
-        assert!(factor >= 1, "rerank factor must be at least 1");
-        self.rerank_factor = factor;
-        self
-    }
-
-    /// The quantized-tier re-rank pool factor.
-    pub fn rerank_factor(&self) -> usize {
-        self.rerank_factor
     }
 
     /// Borrow the underlying row storage (the persistence layer
     /// serializes it).
     pub fn rows(&self) -> &RowStorage {
         &self.rows
-    }
-
-    /// Mutable row storage — only for `crate::diskindex`'s re-rank-row
-    /// spill hook.
-    pub(crate) fn rows_mut(&mut self) -> &mut RowStorage {
-        &mut self.rows
     }
 
     /// The trained centroid matrix (`n_lists × dim`, row-major).
@@ -274,54 +249,6 @@ impl IvfStore {
     /// The row-storage precision.
     pub fn precision(&self) -> RowPrecision {
         self.rows.precision()
-    }
-
-    /// The candidate-pool size gathered before re-ranking:
-    /// `k × rerank_factor` for the quantized tiers (SQ8, PQ), `k`
-    /// otherwise.
-    fn pool_k(&self, k: usize) -> usize {
-        if self.rows.precision().is_quantized() {
-            k.saturating_mul(self.rerank_factor)
-        } else {
-            k
-        }
-    }
-
-    /// Collapse a probed candidate pool to the final top-`k` (exact
-    /// re-scoring for SQ8 and PQ, identity otherwise) — see
-    /// `ExactStore::rerank` for the contract.
-    fn rerank(&self, query: &[f32], k: usize, pool: Vec<Hit>) -> Vec<Hit> {
-        if !self.rows.precision().is_quantized() {
-            return pool;
-        }
-        let mut sel = TopKSelector::new(k);
-        for h in pool {
-            sel.insert(h.id, self.rows.rerank_dot_row(self.dim, h.id, query));
-        }
-        sel.into_sorted_hits()
-    }
-
-    /// Borrow vector `id`. Only available with `f32` row storage; use
-    /// [`IvfStore::row_into`] to read rows independent of precision.
-    ///
-    /// # Panics
-    /// Panics when the store uses a compressed row tier.
-    #[inline]
-    pub fn vector(&self, id: u32) -> &[f32] {
-        let data = self
-            .rows
-            .as_f32()
-            .expect("IvfStore::vector requires f32 row storage; use row_into");
-        let i = id as usize * self.dim;
-        &data[i..i + self.dim]
-    }
-
-    /// Decode vector `id` into `out` (works at every precision).
-    ///
-    /// # Panics
-    /// Panics when `out.len() != dim` or the row is out of bounds.
-    pub fn row_into(&self, id: u32, out: &mut [f32]) {
-        self.rows.row_into(self.dim, id, out);
     }
 
     /// Number of inverted lists.
@@ -390,23 +317,16 @@ impl IvfStore {
             return Vec::new();
         }
         let need = min_candidates.max(k);
-        let mut sel = TopKSelector::new(self.pool_k(k));
-        // PQ scores through a per-query ADC table, built once for the
-        // whole probe walk (`None` for the other tiers).
-        let lut = self.rows.pq_lut(self.dim, query);
+        let scorer = self.rows.scorer(self.dim, query);
+        let mut sel = TopKSelector::new(self.rows.pool_k(k));
         for c in self.probe_prefix(query, min_lists, need) {
             for &id in &self.lists[c] {
-                if !keep(id) {
-                    continue;
+                if keep(id) {
+                    sel.insert(id, scorer.score(id));
                 }
-                let score = match &lut {
-                    Some(lut) => self.rows.dot_row_lut(id, lut),
-                    None => self.rows.dot_row(self.dim, id, query),
-                };
-                sel.insert(id, score);
             }
         }
-        self.rerank(query, k, sel.into_sorted_hits())
+        self.rows.rerank(self.dim, query, k, sel.into_sorted_hits())
     }
 }
 

@@ -26,10 +26,11 @@
 //! codes ([`RowPrecision::Pq`]) which scan `m` bytes per *row* through
 //! per-query ADC lookup tables — sub-byte per element whenever
 //! `m < dim`. Both quantized tiers exactly re-rank the top
-//! `k × rerank_factor` candidates (default [`SQ8_RERANK_FACTOR`],
-//! configurable via [`StoreConfig::with_rerank_factor`]) against the
-//! retained f32 source rows, which [`spill_rerank_rows`] can demote to
-//! a demand-paged mmap sidecar — see the `storage` module docs for the
+//! `k × `[`RERANK_FACTOR`] candidates against the retained f32 source
+//! rows, which a loaded index maps from disk and demand-pages. The
+//! stores only choose which rows to score: [`RowStorage::scorer`],
+//! [`RowStorage::pool_k`] and [`RowStorage::rerank`] own how each
+//! tier scores and re-ranks — see the `storage` module docs for the
 //! precision semantics and the per-precision bit-identity guarantees.
 //!
 //! The [`diskindex`] module persists any [`AnyStore`] to a versioned,
@@ -87,15 +88,15 @@ use std::collections::BinaryHeap;
 pub use annoy::{RpForest, RpForestConfig};
 pub use config::{AnyStore, StoreConfig};
 pub use diskindex::{
-    encode_store, fnv1a64, load_store, save_store, spill_rerank_rows, store_from_file,
-    DiskIndexError, IndexFile, IndexFileBuilder, MappedSlice, Mmap,
+    encode_store, fnv1a64, load_store, save_store, store_from_file, DiskIndexError, IndexFile,
+    IndexFileBuilder, MappedSlice, Mmap,
 };
 pub use exact::ExactStore;
 pub use ivf::{IvfConfig, IvfStore};
 pub use recall::recall_at_k;
 pub use storage::{
-    Buf, PqRows, RowPrecision, RowStorage, Sq8Rows, PQ_DEFAULT_M, PQ_DEFAULT_NBITS, PQ_TRAIN_SEED,
-    SQ8_RERANK_FACTOR,
+    Buf, PqRows, RowPrecision, RowStorage, Scorer, Sq8Rows, PQ_DEFAULT_M, PQ_DEFAULT_NBITS,
+    PQ_TRAIN_SEED, RERANK_FACTOR,
 };
 
 /// A scored hit: item id plus its inner product with the query.

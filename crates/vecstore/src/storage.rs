@@ -1,9 +1,14 @@
 //! Row storage precision tiers: how a store keeps its row-major
-//! vector buffer in memory.
+//! vector buffer in memory, and how each tier scores a query.
 //!
 //! The dense scan is memory-bandwidth bound, so the biggest remaining
 //! lever after kernel tuning is *moving fewer bytes per row*.
-//! [`RowStorage`] is a small enum over the supported encodings:
+//! [`RowStorage`] is a small enum over the supported encodings, and
+//! this module is the only place that knows how each one scores and
+//! whether it re-ranks. A store asks [`RowStorage::scorer`] for a
+//! per-query [`Scorer`], scores the rows it chooses through it, selects
+//! a pool of [`RowStorage::pool_k`] candidates and hands that pool to
+//! [`RowStorage::rerank`]:
 //!
 //! * [`RowPrecision::F32`] — rows as plain `f32` (4 B/element). Scores
 //!   are exact; this is the historical representation and the default.
@@ -23,12 +28,12 @@
 //!   at dim 512), a 4× bandwidth cut over f32. Codes dequantize on
 //!   the fly inside the kernel (`offset + scale · code`, exact u8→f32
 //!   widening, f32 accumulation). Quantized scores rank a candidate
-//!   pool of `k × `[`SQ8_RERANK_FACTOR`] rows, which the stores then
-//!   re-rank **exactly** against the retained f32 source rows — so
-//!   final scores are true f32 inner products and recall@10 stays
-//!   ≥ 0.90 (pinned in `tests/store_equivalence.rs`). The source rows
-//!   sit outside the scan loop (ideally in an mmapped index section,
-//!   see `crate::diskindex`) and are touched only for the tiny rerank
+//!   pool of `k × `[`RERANK_FACTOR`] rows, which are then re-ranked
+//!   **exactly** against the retained f32 source rows — so final
+//!   scores are true f32 inner products and recall@10 stays ≥ 0.90
+//!   (pinned in `tests/store_equivalence.rs`). The source rows sit
+//!   outside the scan loop (ideally in an mmapped index section, see
+//!   `crate::diskindex`) and are touched only for the tiny rerank
 //!   pool.
 //! * [`RowPrecision::Pq`] — product-quantized rows: the `dim`
 //!   dimensions split into `m` subspaces of `dim/m` elements, each
@@ -39,14 +44,13 @@
 //!   centroid·sub-query products per subspace
 //!   (`seesaw_linalg::pq_lut_into`), and each row's score is the sum
 //!   of `m` table entries (`scan_pq_into`) — no per-element multiply
-//!   at all. Like SQ8, the quantized scan ranks a `k × rerank-factor`
-//!   candidate pool that is re-ranked **exactly** against the f32
-//!   source rows; unlike SQ8 the source rows are designed to live in
-//!   an mmapped index section (or be spilled to one via
-//!   [`crate::diskindex::spill_rerank_rows`]) so the steady-state hot
-//!   set is codes + codebooks only. Codebook training is seeded
-//!   per-subspace Lloyd k-means ([`PQ_TRAIN_SEED`], deterministic for
-//!   a given input).
+//!   at all. The [`Scorer`] builds that table once per query. Like
+//!   SQ8, the quantized scan ranks a `k × `[`RERANK_FACTOR`] candidate
+//!   pool that is re-ranked **exactly** against the f32 source rows;
+//!   a loaded index maps those rows from its `PQ_RERANK_ROWS` section,
+//!   so the steady-state hot set is codes + codebooks only. Codebook
+//!   training is seeded per-subspace Lloyd k-means ([`PQ_TRAIN_SEED`],
+//!   deterministic for a given input).
 //!
 //! Every scoring path funnels through the canonical kernels
 //! (`seesaw_linalg::kernels`), so the bit-identity guarantees
@@ -59,6 +63,7 @@
 //! scoring paths see `&[T]` either way.
 
 use crate::diskindex::MappedSlice;
+use crate::{Hit, TopKSelector};
 use seesaw_linalg::{
     dot, dot_f16, dot_pq, dot_sq8, encode_f16, f32_from_f16, gemv1_f16_into, gemv1_into,
     gemv1_sq8_into, pq_lut_into, scan_pq_into, squared_euclidean, PQ_LUT_STRIDE,
@@ -66,13 +71,14 @@ use seesaw_linalg::{
 use std::ops::{Deref, Range};
 
 /// How many quantized candidates the SQ8 and PQ tiers retain per
-/// requested hit before exact re-ranking, by default: a top-`k` query
-/// scans with `u8` codes into a pool of `k × 4`, then re-scores that
-/// pool against the f32 source rows. Generous enough that quantization
-/// error almost never evicts a true top-k row from the pool, small
-/// enough that rerank cost stays negligible next to the scan. Override
-/// per store with `StoreConfig::with_rerank_factor`.
-pub const SQ8_RERANK_FACTOR: usize = 4;
+/// requested hit before exact re-ranking: a top-`k` query scans codes
+/// into a pool of `k × 4` ([`RowStorage::pool_k`]), then re-scores
+/// that pool against the f32 source rows ([`RowStorage::rerank`]).
+/// Generous enough that quantization error almost never evicts a true
+/// top-k row from the pool, small enough that rerank cost stays
+/// negligible next to the scan. `SSAWIDX1` files carry it in a reserved
+/// `STORE_META` slot, and the loader rejects any other value there.
+pub const RERANK_FACTOR: usize = 4;
 
 /// Lloyd iterations for PQ codebook training. Sub-vector k-means
 /// converges fast (each subspace is only `dim/m` dimensional); eight
@@ -324,9 +330,8 @@ fn encode_sq8(dim: usize, data: &[f32]) -> (Vec<u8>, Vec<f32>) {
 /// centroid `codes[r·m + s]` of codebook `s` (`dsub = dim/m`, codebook
 /// `s` is the row-major `k × dsub` slab at `codebooks[s·k·dsub..]`,
 /// `k = 2^nbits`). The source rows are the rerank tier: queries touch
-/// only the `k × rerank-factor` candidate pool of them, so they are
-/// designed to be mmap-backed (loaded from an index file, or spilled
-/// to one by [`crate::diskindex::spill_rerank_rows`]) rather than
+/// only the `k × `[`RERANK_FACTOR`] candidate pool of them, so they are
+/// designed to be mmap-backed (loaded from an index file) rather than
 /// resident.
 #[derive(Clone, Debug)]
 pub struct PqRows {
@@ -350,8 +355,8 @@ impl PqRows {
     /// # Panics
     /// Panics when the shapes are inconsistent: `m == 0`, `nbits`
     /// outside `1..=8`, `codes.len()` not a multiple of `m`,
-    /// `codebooks.len() != m * 2^nbits * dsub`, or a non-empty
-    /// `source` whose length differs from `rows × m × dsub`.
+    /// `codebooks.len() != m * 2^nbits * dsub`, or
+    /// `source.len() != rows × m × dsub`.
     pub fn from_parts(
         m: usize,
         nbits: u32,
@@ -365,13 +370,11 @@ impl PqRows {
         assert_eq!(codes.len() % m, 0, "pq code matrix is not a multiple of m");
         let k = 1usize << nbits;
         assert_eq!(codebooks.len(), m * k * dsub, "pq codebook shape mismatch");
-        if !source.is_empty() {
-            assert_eq!(
-                source.len(),
-                (codes.len() / m) * m * dsub,
-                "pq source row shape mismatch"
-            );
-        }
+        assert_eq!(
+            source.len(),
+            codes.len() * dsub,
+            "pq source row shape mismatch"
+        );
         Self {
             m,
             nbits,
@@ -415,12 +418,6 @@ impl PqRows {
     /// Exact f32 source rows (row-major).
     pub fn source(&self) -> &[f32] {
         &self.source
-    }
-
-    /// Whether the rerank source rows are an mmap-backed view (loaded
-    /// from disk or spilled) rather than resident.
-    pub fn source_is_mapped(&self) -> bool {
-        self.source.is_mapped()
     }
 
     /// Whether every buffer is an mmap-backed view.
@@ -542,10 +539,11 @@ fn encode_pq(dim: usize, m: usize, nbits: u32, data: &[f32]) -> (Vec<f32>, Vec<u
     (codebooks, codes)
 }
 
-/// A row-major vector buffer in one of the supported precisions, with
-/// the scoring entry points the stores need. All scoring goes through
-/// the canonical kernels, so results are deterministic and bitwise
-/// identical across SIMD tiers.
+/// A row-major vector buffer in one of the supported precisions, and
+/// the one owner of how that precision scores ([`Self::scorer`]) and
+/// re-ranks ([`Self::pool_k`], [`Self::rerank`]). All scoring goes
+/// through the canonical kernels, so results are deterministic and
+/// bitwise identical across SIMD tiers.
 #[derive(Clone, Debug)]
 pub enum RowStorage {
     /// Plain `f32` rows.
@@ -647,7 +645,7 @@ impl RowStorage {
     /// Bytes a full scan of the stored rows reads: the encoded
     /// elements plus (for SQ8) the per-row dequantization parameters.
     /// The `f32` source rows the quantized tiers retain for re-ranking
-    /// are *not* counted — a query touches only `k × rerank-factor`
+    /// are *not* counted — a query touches only `k × `[`RERANK_FACTOR`]
     /// of them, so they cost capacity, not scan bandwidth. For PQ the
     /// scan streams only the `m` code bytes per row (the per-query LUT
     /// is cache-resident query state, and the codebooks are touched
@@ -665,10 +663,9 @@ impl RowStorage {
     /// params, PQ codebooks) count whether owned or mmap-backed — every
     /// query touches all of their pages, so they are resident once
     /// warm. The `f32` rerank source counts only while it is *owned*:
-    /// an mmap-backed source (loaded from an index file, or spilled to
-    /// one) is demand-paged, and a query touches only the tiny rerank
-    /// pool of it, so it contributes capacity, not steady-state
-    /// residency.
+    /// an mmap-backed source (loaded from an index file) is
+    /// demand-paged, and a query touches only the tiny rerank pool of
+    /// it, so it contributes capacity, not steady-state residency.
     pub fn resident_bytes(&self) -> usize {
         match self {
             RowStorage::Sq8(q) if !q.source.is_mapped() => self.scan_bytes() + q.source.len() * 4,
@@ -684,156 +681,59 @@ impl RowStorage {
         }
     }
 
-    /// Score one row against a query through the canonical kernel for
-    /// this precision. For SQ8 and PQ this is the *quantized* score
-    /// (the candidate-generation score); [`Self::rerank_dot_row`]
-    /// gives the exact one.
-    ///
-    /// For PQ this builds a full per-query lookup table on every call,
-    /// which is only sensible for one-off scores — hot paths must
-    /// hoist the table with [`Self::pq_lut`] and score through
-    /// [`Self::dot_row_lut`] / [`Self::scan_pq_range`] (bit-identical
-    /// to this method).
+    /// Prepare `query` for scoring against these rows: the per-query
+    /// state a tier needs (the ADC lookup table for PQ, built once
+    /// here) plus the kernels that score it. See [`Scorer`].
     ///
     /// # Panics
-    /// Panics when the row is out of bounds or `query.len() != dim`.
-    #[inline]
-    pub fn dot_row(&self, dim: usize, id: u32, query: &[f32]) -> f32 {
-        let i = id as usize * dim;
-        match self {
-            RowStorage::F32(d) => dot(&d[i..i + dim], query),
-            RowStorage::F16(d) => dot_f16(&d[i..i + dim], query),
-            RowStorage::Sq8(q) => {
-                let p = id as usize * 2;
-                dot_sq8(&q.codes[i..i + dim], q.params[p], q.params[p + 1], query)
-            }
-            RowStorage::Pq(_) => {
-                let lut = self
-                    .pq_lut(dim, query)
-                    .expect("pq storage always builds a lut");
-                self.dot_row_lut(id, &lut)
-            }
+    /// Panics when `query.len() != dim`, or when `dim` disagrees with
+    /// the PQ geometry (`m × dsub`).
+    pub fn scorer<'a>(&'a self, dim: usize, query: &'a [f32]) -> Scorer<'a> {
+        assert_eq!(query.len(), dim, "query dimension mismatch");
+        let mut lut = Vec::new();
+        if let RowStorage::Pq(p) = self {
+            assert_eq!(dim, p.m * p.dsub, "pq geometry disagrees with dim");
+            lut = vec![0.0f32; p.m * PQ_LUT_STRIDE];
+            pq_lut_into(&p.codebooks, p.m, p.k(), query, &mut lut);
+        }
+        Scorer {
+            rows: self,
+            dim,
+            query,
+            lut,
         }
     }
 
-    /// The exact re-ranking score of one row: for SQ8 the f32 inner
-    /// product against the retained source row, for the dense tiers
-    /// identical to [`Self::dot_row`].
+    /// The candidate-pool size a top-`k` scan selects before
+    /// [`Self::rerank`]: `k × `[`RERANK_FACTOR`] for the quantized
+    /// tiers (SQ8, PQ), `k` for the exact-scoring tiers.
+    pub fn pool_k(&self, k: usize) -> usize {
+        if self.precision().is_quantized() {
+            k.saturating_mul(RERANK_FACTOR)
+        } else {
+            k
+        }
+    }
+
+    /// Collapse a scanned candidate pool to the final top-`k`. For the
+    /// exact-scoring tiers the pool *is* the answer; for SQ8 and PQ
+    /// each candidate is re-scored exactly against its retained f32
+    /// source row, so final scores are true inner products.
     ///
     /// # Panics
-    /// Panics when the row is out of bounds or `query.len() != dim`.
-    #[inline]
-    pub fn rerank_dot_row(&self, dim: usize, id: u32, query: &[f32]) -> f32 {
-        match self {
-            RowStorage::Sq8(q) => {
-                let i = id as usize * dim;
-                dot(&q.source[i..i + dim], query)
-            }
-            RowStorage::Pq(p) => {
-                let i = id as usize * dim;
-                dot(&p.source[i..i + dim], query)
-            }
-            _ => self.dot_row(dim, id, query),
+    /// Panics when a pool id is out of bounds or `query.len() != dim`.
+    pub fn rerank(&self, dim: usize, query: &[f32], k: usize, pool: Vec<Hit>) -> Vec<Hit> {
+        let source = match self {
+            RowStorage::Sq8(q) => &q.source,
+            RowStorage::Pq(p) => &p.source,
+            RowStorage::F32(_) | RowStorage::F16(_) => return pool,
+        };
+        let mut sel = TopKSelector::new(k);
+        for h in pool {
+            let i = h.id as usize * dim;
+            sel.insert(h.id, dot(&source[i..i + dim], query));
         }
-    }
-
-    /// Build the per-query ADC lookup table for a PQ store
-    /// (`seesaw_linalg::pq_lut_into`); `None` for every other tier.
-    /// The table feeds [`Self::dot_row_lut`] and
-    /// [`Self::scan_pq_range`].
-    ///
-    /// # Panics
-    /// Panics when `query.len() != dim` or `dim` disagrees with the PQ
-    /// geometry (`m × dsub`).
-    pub fn pq_lut(&self, dim: usize, query: &[f32]) -> Option<Vec<f32>> {
-        match self {
-            RowStorage::Pq(p) => {
-                assert_eq!(dim, p.m * p.dsub, "pq geometry disagrees with dim");
-                assert_eq!(query.len(), dim, "query dimension mismatch");
-                let mut lut = vec![0.0f32; p.m * PQ_LUT_STRIDE];
-                pq_lut_into(&p.codebooks, p.m, p.k(), query, &mut lut);
-                Some(lut)
-            }
-            _ => None,
-        }
-    }
-
-    /// ADC score of one PQ row against a prepared lookup table
-    /// ([`Self::pq_lut`]). Bit-identical to [`Self::dot_row`] on the
-    /// same store.
-    ///
-    /// # Panics
-    /// Panics on non-PQ storage, an out-of-bounds row, or a table of
-    /// the wrong length.
-    #[inline]
-    pub fn dot_row_lut(&self, id: u32, lut: &[f32]) -> f32 {
-        match self {
-            RowStorage::Pq(p) => {
-                let c = id as usize * p.m;
-                dot_pq(&p.codes[c..c + p.m], lut)
-            }
-            _ => panic!("dot_row_lut is only defined for PQ storage"),
-        }
-    }
-
-    /// ADC scan of the PQ rows in `rows` against a prepared lookup
-    /// table: `out[j] = score(rows.start + j)`. Bit-identical to
-    /// per-row [`Self::dot_row_lut`].
-    ///
-    /// # Panics
-    /// Panics on non-PQ storage or any shape mismatch
-    /// (`seesaw_linalg::scan_pq_into` contract).
-    pub fn scan_pq_range(&self, rows: Range<usize>, lut: &[f32], out: &mut [f32]) {
-        match self {
-            RowStorage::Pq(p) => {
-                let codes = &p.codes[rows.start * p.m..rows.end * p.m];
-                scan_pq_into(codes, p.m, lut, out);
-            }
-            _ => panic!("scan_pq_range is only defined for PQ storage"),
-        }
-    }
-
-    /// Mutable access to the `f32` rerank source of a quantized tier
-    /// (`None` for the dense tiers) — the spill hook
-    /// (`crate::diskindex::spill_rerank_rows`) swaps an owned source
-    /// for an mmap-backed view through this.
-    pub(crate) fn rerank_source_mut(&mut self) -> Option<&mut Buf<f32>> {
-        match self {
-            RowStorage::Sq8(q) => Some(&mut q.source),
-            RowStorage::Pq(p) => Some(&mut p.source),
-            _ => None,
-        }
-    }
-
-    /// Borrow the PQ row set, if this is a PQ store.
-    pub fn pq(&self) -> Option<&PqRows> {
-        match self {
-            RowStorage::Pq(p) => Some(p),
-            _ => None,
-        }
-    }
-
-    /// Single-query GEMV over the row range `rows`: `out[j] =
-    /// row(rows.start + j) · query`.
-    ///
-    /// # Panics
-    /// Same shape contract as `seesaw_linalg::gemv1_into`.
-    pub fn gemv1_range(&self, dim: usize, rows: Range<usize>, query: &[f32], out: &mut [f32]) {
-        let elems = rows.start * dim..rows.end * dim;
-        match self {
-            RowStorage::F32(d) => gemv1_into(&d[elems], dim, query, out),
-            RowStorage::F16(d) => gemv1_f16_into(&d[elems], dim, query, out),
-            RowStorage::Sq8(q) => gemv1_sq8_into(
-                &q.codes[elems],
-                dim,
-                &q.params[rows.start * 2..rows.end * 2],
-                query,
-                out,
-            ),
-            RowStorage::Pq(_) => {
-                panic!("PQ scans require a prepared LUT: use pq_lut + scan_pq_range")
-            }
-        }
+        sel.into_sorted_hits()
     }
 
     /// Decode row `id` into an `f32` buffer — exact for every
@@ -866,6 +766,74 @@ impl RowStorage {
     }
 }
 
+/// One query prepared against one [`RowStorage`]
+/// ([`RowStorage::scorer`]). A store only chooses *which* rows to
+/// score: a contiguous block ([`Self::score_range`], the exact scan) or
+/// one row at a time ([`Self::score`], the IVF list walk). Both run the
+/// tier's canonical kernel, so a row scores bit-identically either way.
+/// For SQ8 and PQ these are the quantized candidate-generation scores;
+/// [`RowStorage::rerank`] turns the selected pool into exact ones.
+#[derive(Debug)]
+pub struct Scorer<'a> {
+    rows: &'a RowStorage,
+    dim: usize,
+    query: &'a [f32],
+    /// The per-query ADC lookup table for PQ; empty for the other tiers.
+    lut: Vec<f32>,
+}
+
+impl Scorer<'_> {
+    /// Score row `id`.
+    ///
+    /// # Panics
+    /// Panics when the row is out of bounds.
+    #[inline]
+    pub fn score(&self, id: u32) -> f32 {
+        let (dim, query) = (self.dim, self.query);
+        let i = id as usize * dim;
+        match self.rows {
+            RowStorage::F32(d) => dot(&d[i..i + dim], query),
+            RowStorage::F16(d) => dot_f16(&d[i..i + dim], query),
+            RowStorage::Sq8(q) => {
+                let p = id as usize * 2;
+                dot_sq8(&q.codes[i..i + dim], q.params[p], q.params[p + 1], query)
+            }
+            RowStorage::Pq(p) => {
+                let c = id as usize * p.m;
+                dot_pq(&p.codes[c..c + p.m], &self.lut)
+            }
+        }
+    }
+
+    /// Score the row block `rows`: `out[j] = score(rows.start + j)`,
+    /// bit for bit.
+    ///
+    /// # Panics
+    /// Panics when the block is out of bounds or
+    /// `out.len() != rows.len()`.
+    pub fn score_range(&self, rows: Range<usize>, out: &mut [f32]) {
+        let (dim, query) = (self.dim, self.query);
+        let elems = rows.start * dim..rows.end * dim;
+        match self.rows {
+            RowStorage::F32(d) => gemv1_into(&d[elems], dim, query, out),
+            RowStorage::F16(d) => gemv1_f16_into(&d[elems], dim, query, out),
+            RowStorage::Sq8(q) => gemv1_sq8_into(
+                &q.codes[elems],
+                dim,
+                &q.params[rows.start * 2..rows.end * 2],
+                query,
+                out,
+            ),
+            RowStorage::Pq(p) => scan_pq_into(
+                &p.codes[rows.start * p.m..rows.end * p.m],
+                p.m,
+                &self.lut,
+                out,
+            ),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -882,22 +850,51 @@ mod tests {
         out
     }
 
+    /// `score_range` over `range` equals per-row `score`, bit for bit.
+    fn assert_range_matches_rows(sc: &Scorer, range: Range<usize>) {
+        let mut got = vec![0.0f32; range.len()];
+        sc.score_range(range.clone(), &mut got);
+        for (id, g) in range.zip(&got) {
+            assert_eq!(g.to_bits(), sc.score(id as u32).to_bits(), "row {id}");
+        }
+    }
+
+    /// Re-ranking a pool of every row returns each row's exact f32
+    /// `dot` against its source row, bit for bit.
+    fn assert_rerank_is_exact(st: &RowStorage, dim: usize, data: &[f32], q: &[f32]) {
+        let n = data.len() / dim;
+        let sc = st.scorer(dim, q);
+        let pool = (0..n as u32)
+            .map(|id| Hit {
+                id,
+                score: sc.score(id),
+            })
+            .collect();
+        let hits = st.rerank(dim, q, n, pool);
+        assert_eq!(hits.len(), n);
+        for h in hits {
+            let i = h.id as usize * dim;
+            let exact = dot(&data[i..i + dim], q);
+            assert_eq!(h.score.to_bits(), exact.to_bits(), "row {}", h.id);
+        }
+    }
+
     #[test]
     fn f32_storage_scores_bitwise_like_raw_kernels() {
         let (n, dim) = (20, 11);
         let data = rows(n, dim, 1);
         let q = random_unit_vector(&mut StdRng::seed_from_u64(2), dim);
         let st = RowStorage::encode(RowPrecision::F32, dim, data.clone());
+        let sc = st.scorer(dim, &q);
         for id in 0..n as u32 {
             let reference = dot(&data[id as usize * dim..(id as usize + 1) * dim], &q);
-            assert_eq!(st.dot_row(dim, id, &q).to_bits(), reference.to_bits());
+            assert_eq!(sc.score(id).to_bits(), reference.to_bits());
         }
-        let mut got = vec![0.0f32; 7];
-        st.gemv1_range(dim, 5..12, &q, &mut got);
-        for (j, g) in got.iter().enumerate() {
-            let reference = st.dot_row(dim, (5 + j) as u32, &q);
-            assert_eq!(g.to_bits(), reference.to_bits());
-        }
+        assert_range_matches_rows(&sc, 5..12);
+        // Exact tiers pool exactly k and re-rank as the identity.
+        assert_eq!(st.pool_k(3), 3);
+        let pool = vec![Hit { id: 4, score: 0.5 }];
+        assert_eq!(st.rerank(dim, &q, 1, pool.clone()), pool);
     }
 
     #[test]
@@ -906,11 +903,13 @@ mod tests {
         let data = rows(n, dim, 3);
         let q = random_unit_vector(&mut StdRng::seed_from_u64(4), dim);
         let st = RowStorage::encode(RowPrecision::F16, dim, data.clone());
+        let sc = st.scorer(dim, &q);
+        assert_range_matches_rows(&sc, 0..n);
         let mut decoded = vec![0.0f32; dim];
         for id in 0..n as u32 {
             st.row_into(dim, id, &mut decoded);
             let reference = dot(&decoded, &q);
-            assert_eq!(st.dot_row(dim, id, &q).to_bits(), reference.to_bits());
+            assert_eq!(sc.score(id).to_bits(), reference.to_bits());
             // And the decoded row is close to the original (unit-norm
             // data: f16 relative error ≤ 2⁻¹¹ per element).
             for (d, o) in decoded
@@ -929,16 +928,18 @@ mod tests {
         let q = random_unit_vector(&mut StdRng::seed_from_u64(6), dim);
         let st = RowStorage::encode(RowPrecision::Sq8, dim, data.clone());
         assert_eq!(st.precision(), RowPrecision::Sq8);
+        let sc = st.scorer(dim, &q);
         for id in 0..n as u32 {
             let exact = dot(&data[id as usize * dim..(id as usize + 1) * dim], &q);
-            let quant = st.dot_row(dim, id, &q);
+            let quant = sc.score(id);
             // Per-element quantization error ≤ scale/2 ≈ range/510;
             // on unit vectors the accumulated score error stays well
             // under 2e-2 at this dim.
             assert!((quant - exact).abs() < 2e-2, "id {id}: {quant} vs {exact}");
-            // The rerank score is the exact f32 product, bit for bit.
-            assert_eq!(st.rerank_dot_row(dim, id, &q).to_bits(), exact.to_bits());
         }
+        // The rerank score is the exact f32 product, bit for bit.
+        assert_eq!(st.pool_k(3), 3 * RERANK_FACTOR);
+        assert_rerank_is_exact(&st, dim, &data, &q);
     }
 
     #[test]
@@ -947,12 +948,7 @@ mod tests {
         let data = rows(n, dim, 7);
         let q = random_unit_vector(&mut StdRng::seed_from_u64(8), dim);
         let st = RowStorage::encode(RowPrecision::Sq8, dim, data);
-        let mut got = vec![0.0f32; 9];
-        st.gemv1_range(dim, 4..13, &q, &mut got);
-        for (j, g) in got.iter().enumerate() {
-            let reference = st.dot_row(dim, (4 + j) as u32, &q);
-            assert_eq!(g.to_bits(), reference.to_bits());
-        }
+        assert_range_matches_rows(&st.scorer(dim, &q), 4..13);
     }
 
     #[test]
@@ -1003,8 +999,9 @@ mod tests {
         assert!(q.params()[4] > 0.0);
         let query = [1.0f32, 0.0, 0.0, 0.0];
         // Scores stay finite for the degenerate rows.
-        assert!(st.dot_row(dim, 0, &query).is_finite());
-        assert!(st.dot_row(dim, 1, &query).is_finite());
+        let sc = st.scorer(dim, &query);
+        assert!(sc.score(0).is_finite());
+        assert!(sc.score(1).is_finite());
     }
 
     #[test]
@@ -1065,22 +1062,17 @@ mod tests {
         let data = rows(n, dim, 33);
         let q = random_unit_vector(&mut StdRng::seed_from_u64(34), dim);
         let st = RowStorage::encode(RowPrecision::Pq { m: 8, nbits: 8 }, dim, data.clone());
-        let lut = st.pq_lut(dim, &q).unwrap();
+        let sc = st.scorer(dim, &q);
+        // The block ADC scan agrees with the per-row one bit for bit.
+        assert_range_matches_rows(&sc, 0..n);
         let mut err_sum = 0.0f64;
         for id in 0..n as u32 {
             let exact = dot(&data[id as usize * dim..(id as usize + 1) * dim], &q);
-            let adc = st.dot_row_lut(id, &lut);
-            // The cold-path dot_row must agree with the hoisted-LUT
-            // path bit for bit.
-            assert_eq!(st.dot_row(dim, id, &q).to_bits(), adc.to_bits());
-            // Re-ranking reads the retained f32 source: bit-exact.
-            assert_eq!(
-                st.rerank_dot_row(dim, id, &q).to_bits(),
-                exact.to_bits(),
-                "rerank must be exact"
-            );
-            err_sum += (adc - exact).abs() as f64;
+            err_sum += (sc.score(id) - exact).abs() as f64;
         }
+        // Re-ranking reads the retained f32 source: bit-exact.
+        assert_eq!(st.pool_k(3), 3 * RERANK_FACTOR);
+        assert_rerank_is_exact(&st, dim, &data, &q);
         // ADC is lossy but must track the exact scores closely on
         // unit vectors (k=256 centroids over 2-dim subspaces).
         assert!(
@@ -1115,15 +1107,6 @@ mod tests {
             st.resident_bytes(),
             n * m + m * k * (dim / m) * 4 + n * dim * 4
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "prepared LUT")]
-    fn pq_gemv_range_panics_without_lut() {
-        let data = rows(8, 8, 37);
-        let st = RowStorage::encode(RowPrecision::Pq { m: 4, nbits: 4 }, 8, data);
-        let mut out = vec![0.0f32; 8];
-        st.gemv1_range(8, 0..8, &[0.5; 8], &mut out);
     }
 
     #[test]

@@ -9,9 +9,7 @@
 //! index contract: an mmap-loaded store answers bit-identically to the
 //! in-RAM store it was saved from, for every backend × precision.
 //! ISSUE 9 extends both contracts to the PQ tier (exact-pq ≥ 0.85
-//! recall@10 after re-rank) and adds the spill contract: demoting an
-//! in-RAM store's f32 re-rank rows to an mmap sidecar changes no
-//! answer bits.
+//! recall@10 after re-rank).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -73,7 +71,7 @@ fn recall_f16_storage_stays_above_floors() {
 #[test]
 fn recall_sq8_with_rerank_stays_above_floor() {
     // SQ8 rows carry ~1 byte/element into the scan; the quantized
-    // scores only *rank* a pool of k × SQ8_RERANK_FACTOR candidates,
+    // scores only *rank* a pool of k × RERANK_FACTOR candidates,
     // which are then re-scored against the exact f32 source rows. The
     // floor the ISSUE commits to is 0.90 recall@10 for the exact-sq8
     // scan; IVF-sq8 composes the probe loss on top, so it inherits the
@@ -97,7 +95,7 @@ fn recall_sq8_with_rerank_stays_above_floor() {
 #[test]
 fn recall_pq_with_rerank_stays_above_floor() {
     // PQ rows carry `m` bytes per row into the scan (sub-byte per
-    // element); the ADC scores rank a pool of k × rerank_factor
+    // element); the ADC scores rank a pool of k × RERANK_FACTOR
     // candidates, which are then re-scored exactly against the f32
     // re-rank rows. The ISSUE 9 floor is 0.85 recall@10 for the
     // exact-pq scan; IVF-pq composes coarse-probe loss on top, so it
@@ -117,63 +115,6 @@ fn recall_pq_with_rerank_stays_above_floor() {
         .build(dim, data.clone());
     let recall = recall_at_k(&exact, &ivf_pq, &queries, 10);
     assert!(recall > 0.70, "ivf-pq recall@10 = {recall}, floor 0.70");
-}
-
-#[test]
-fn spilled_rerank_rows_answer_bit_identically_and_shrink_residency() {
-    // `spill_rerank_rows` demotes an in-RAM quantized store's f32
-    // re-rank source to a demand-paged mmap sidecar. The contract:
-    // every answer is unchanged down to the score bits, the resident
-    // footprint shrinks by exactly the spilled rows, and a second
-    // spill is a no-op.
-    use seesaw::vecstore::{spill_rerank_rows, AnyStore};
-
-    let (n, dim) = (400usize, 16usize);
-    let data = random_data(n, dim, 111);
-    let queries = random_queries(6, dim, 112);
-    let pq = RowPrecision::Pq { m: 4, nbits: 8 };
-    let resident = |store: &AnyStore| match store {
-        AnyStore::Exact(s) => s.rows().resident_bytes(),
-        AnyStore::Ivf(s) => s.rows().resident_bytes(),
-        AnyStore::Forest(_) => unreachable!("spill test uses dense backends"),
-    };
-    let cases = [
-        ("exact-pq", StoreConfig::exact().with_precision(pq)),
-        (
-            "exact-sq8",
-            StoreConfig::exact().with_precision(RowPrecision::Sq8),
-        ),
-        (
-            "ivf-pq",
-            StoreConfig::ivf(IvfConfig::default()).with_precision(pq),
-        ),
-    ];
-    for (label, cfg) in cases {
-        let mut store = cfg.build(dim, data.clone());
-        let truth: Vec<_> = queries.iter().map(|q| store.top_k(q, 10)).collect();
-        let before = resident(&store);
-        let path = std::env::temp_dir().join(format!(
-            "seesaw_spill_{}_{label}.ssawidx",
-            std::process::id()
-        ));
-        let spilled =
-            spill_rerank_rows(&mut store, &path).unwrap_or_else(|e| panic!("{label}: {e}"));
-        assert!(spilled, "{label}: first spill must write the sidecar");
-        let after = resident(&store);
-        assert_eq!(
-            before - after,
-            n * dim * 4,
-            "{label}: spill must shed exactly the f32 source rows"
-        );
-        assert!(
-            !spill_rerank_rows(&mut store, &path).unwrap(),
-            "{label}: second spill must be a no-op"
-        );
-        for (qi, (q, t)) in queries.iter().zip(&truth).enumerate() {
-            assert_bit_identical(t, &store.top_k(q, 10), &format!("{label} spilled q={qi}"));
-        }
-        let _ = std::fs::remove_file(&path);
-    }
 }
 
 #[test]
@@ -216,13 +157,8 @@ fn mmap_loaded_stores_answer_bit_identically_to_in_ram_stores() {
             StoreConfig::exact().with_precision(RowPrecision::Pq { m: 4, nbits: 8 }),
         ),
         (
-            "exact-pq-rf8",
-            // A non-default re-rank factor must round-trip through the
-            // STORE_META trailer, or the loaded store would pool fewer
-            // candidates and diverge from the in-RAM answers.
-            StoreConfig::exact()
-                .with_precision(RowPrecision::Pq { m: 8, nbits: 6 })
-                .with_rerank_factor(8),
+            "exact-pq8x6",
+            StoreConfig::exact().with_precision(RowPrecision::Pq { m: 8, nbits: 6 }),
         ),
         (
             "ivf-pq",
