@@ -223,12 +223,15 @@ pub(crate) struct GraphArtifacts {
 /// Build the config-requested graph artifacts over an embedding block.
 /// Deterministic given `cfg`. Every artifact is optional: with all
 /// three `build_*` flags off this is free, which is what lets an
-/// mmapped index cold-start in milliseconds.
+/// mmapped index cold-start in milliseconds. `saved_m_d` is an `M_D`
+/// already loaded from an index file: when `cfg` requests `M_D` it is
+/// used as-is instead of being rebuilt, and otherwise it is dropped.
 pub(crate) fn build_graph_artifacts(
     dim: usize,
     embeddings: &[f32],
     coarse_patches: &[u32],
     cfg: &PreprocessConfig,
+    saved_m_d: Option<DenseMatrix>,
 ) -> GraphArtifacts {
     let n_patches = embeddings.len() / dim.max(1);
     let n_images = coarse_patches.len();
@@ -237,15 +240,16 @@ pub(crate) fn build_graph_artifacts(
     // The propagation adjacency and the full-data M_D share one
     // NN-descent build; the subsampled M_D path builds its own
     // (small) graph instead.
+    let mut m_d = saved_m_d.filter(|_| cfg.build_db_matrix);
+    let build_m_d = cfg.build_db_matrix && m_d.is_none();
     let graph_feasible = n_patches > cfg.knn_k + 2;
-    let want_full_graph = graph_feasible
-        && (cfg.build_propagation || (cfg.build_db_matrix && cfg.db_matrix_sample.is_none()));
-    let mut m_d = None;
+    let want_full_graph =
+        graph_feasible && (cfg.build_propagation || (build_m_d && cfg.db_matrix_sample.is_none()));
     let mut patch_adjacency = None;
     if want_full_graph {
         let graph = KnnGraph::nn_descent(dim, embeddings, cfg.knn_k, &cfg.nn_descent);
         let adjacency = gaussian_adjacency(&graph, cfg.sigma);
-        if cfg.build_db_matrix && cfg.db_matrix_sample.is_none() {
+        if build_m_d && cfg.db_matrix_sample.is_none() {
             let lap = seesaw_knn::laplacian(&adjacency);
             let x = DenseMatrix::from_vec(n_patches, dim, embeddings.to_vec());
             let mut m = lap.xtax(&x);
@@ -258,7 +262,7 @@ pub(crate) fn build_graph_artifacts(
             patch_adjacency = Some(adjacency);
         }
     }
-    if m_d.is_none() && cfg.build_db_matrix && graph_feasible {
+    if m_d.is_none() && build_m_d && graph_feasible {
         m_d = Some(compute_db_matrix(
             dim,
             embeddings,
@@ -321,7 +325,7 @@ pub(crate) fn rebuild_from_embeddings(
         m_d,
         patch_adjacency,
         coarse_graph,
-    } = build_graph_artifacts(dim, &embeddings, &coarse_patches, cfg);
+    } = build_graph_artifacts(dim, &embeddings, &coarse_patches, cfg, None);
 
     DatasetIndex {
         dim,

@@ -503,3 +503,129 @@ fn engine_index_maps_corruption_into_persist_error() {
     std::fs::remove_file(&gone).ok();
     assert!(matches!(load_index(&gone, &cfg), Err(PersistError::Io(_))));
 }
+
+/// Engine section kinds (`persist::section`), as the format document
+/// lists them.
+const CORE_META: u32 = 100;
+const PATCHES: u32 = 101;
+const IMAGE_RANGES: u32 = 102;
+
+/// Re-assemble a well-formed file with `edit` applied to every section
+/// payload: the result is checksum-valid, so only the engine's own
+/// cross-section checks stand between it and a loaded index.
+fn resectioned(bytes: &[u8], edit: impl Fn(u32, &mut Vec<u8>)) -> Vec<u8> {
+    let file = IndexFile::from_bytes(bytes.to_vec()).unwrap();
+    let mut b = IndexFileBuilder::new();
+    for d in descriptors(bytes) {
+        let mut payload = file.section_bytes(d.kind).unwrap().to_vec();
+        edit(d.kind, &mut payload);
+        b.section(d.kind, payload);
+    }
+    b.to_bytes()
+}
+
+fn load_index_from(name: &str, bytes: &[u8], cfg: &PreprocessConfig) -> Result<(), PersistError> {
+    let path = tmp(name);
+    std::fs::write(&path, bytes).unwrap();
+    let out = load_index(&path, cfg).map(|_| ());
+    std::fs::remove_file(&path).ok();
+    out
+}
+
+fn put_u32(bytes: &mut [u8], at: usize, v: u32) {
+    bytes[at..at + 4].copy_from_slice(&v.to_le_bytes());
+}
+
+/// The `IMAGE_RANGES` entries of a saved index.
+fn ranges(bytes: &[u8]) -> Vec<(u32, u32)> {
+    let file = IndexFile::from_bytes(bytes.to_vec()).unwrap();
+    file.section_bytes(IMAGE_RANGES)
+        .unwrap()
+        .chunks_exact(8)
+        .map(|r| (read_u32(r, 0), read_u32(r, 4)))
+        .collect()
+}
+
+#[test]
+fn core_meta_with_overflowing_counts_is_corrupt() {
+    // `n_patches + 2^61` patches need `24 · n_patches` bytes, which wraps
+    // back to the real section length in u64. The count must be a typed
+    // error, not an overflow panic (debug) or a capacity panic (release).
+    let (bytes, cfg) = saved_index_bytes("meta-overflow");
+    let bad = resectioned(&bytes, |kind, payload| {
+        if kind == CORE_META {
+            let n = read_u64(payload, 8) + (1u64 << 61);
+            payload[8..16].copy_from_slice(&n.to_le_bytes());
+        }
+    });
+    let got = load_index_from("meta-overflow", &bad, &cfg);
+    assert!(
+        matches!(got, Err(PersistError::Corrupt(_))),
+        "expected Corrupt, got {got:?}"
+    );
+}
+
+#[test]
+fn patch_naming_a_missing_image_is_corrupt() {
+    // Patch 0 claims image `n_images`, which has no per-image state on
+    // the request path.
+    let (bytes, cfg) = saved_index_bytes("patch-image");
+    let n_images = ranges(&bytes).len() as u32;
+    let bad = resectioned(&bytes, |kind, payload| {
+        if kind == PATCHES {
+            put_u32(payload, 0, n_images);
+        }
+    });
+    let got = load_index_from("patch-image", &bad, &cfg);
+    assert!(
+        matches!(got, Err(PersistError::Corrupt(_))),
+        "expected Corrupt, got {got:?}"
+    );
+}
+
+#[test]
+fn empty_image_range_is_corrupt() {
+    // Image 1's range shrinks to nothing and image 2 takes its patches
+    // (relabelled), so the ranges still tile and every patch still
+    // names its range: only the emptiness is wrong. Image 1's coarse
+    // patch would be image 2's.
+    let (bytes, cfg) = saved_index_bytes("empty-range");
+    let r = ranges(&bytes);
+    assert!(r.len() >= 3);
+    let (a, b) = r[1];
+    let bad = resectioned(&bytes, |kind, payload| match kind {
+        IMAGE_RANGES => {
+            put_u32(payload, 8 + 4, a); // image 1: (a, a)
+            put_u32(payload, 16, a); // image 2: (a, its end)
+        }
+        PATCHES => {
+            for p in a..b {
+                put_u32(payload, p as usize * 24, 2);
+            }
+        }
+        _ => {}
+    });
+    let got = load_index_from("empty-range", &bad, &cfg);
+    assert!(
+        matches!(got, Err(PersistError::Corrupt(_))),
+        "expected Corrupt, got {got:?}"
+    );
+}
+
+#[test]
+fn overlapping_image_ranges_are_corrupt() {
+    // Image 1's range reaches back over image 0's last patch.
+    let (bytes, cfg) = saved_index_bytes("overlap-range");
+    let (a, _) = ranges(&bytes)[1];
+    assert!(a >= 1);
+    let bad = resectioned(&bytes, |kind, payload| {
+        if kind == IMAGE_RANGES {
+            put_u32(payload, 8, a - 1);
+        }
+    });
+    let got = load_index_from("overlap-range", &bad, &cfg);
+    assert!(
+        matches!(got, Err(PersistError::Corrupt(_))),
+        "expected Corrupt, got {got:?}"
+    );
+}

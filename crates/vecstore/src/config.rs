@@ -148,6 +148,19 @@ pub enum AnyStore {
     Ivf(IvfStore),
 }
 
+impl AnyStore {
+    /// Borrow the exact `f32` rows the store keeps, row-major in id
+    /// order: the forest's raw data, or the dense backends'
+    /// [`crate::RowStorage::exact_rows`] (`None` for f16 rows).
+    pub fn exact_rows(&self) -> Option<&[f32]> {
+        match self {
+            AnyStore::Exact(s) => s.rows().exact_rows(),
+            AnyStore::Forest(s) => Some(s.raw_data()),
+            AnyStore::Ivf(s) => s.rows().exact_rows(),
+        }
+    }
+}
+
 macro_rules! dispatch {
     ($self:expr, $s:ident => $body:expr) => {
         match $self {

@@ -731,7 +731,9 @@ fn read_u64(bytes: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
 }
 
-fn le_bytes_f32(v: &[f32]) -> Vec<u8> {
+/// Little-endian bytes of an f32 slice, bit pattern for bit pattern:
+/// the payload encoding of every f32 section.
+pub fn le_bytes_f32(v: &[f32]) -> Vec<u8> {
     let mut out = Vec::with_capacity(v.len() * 4);
     for x in v {
         out.extend_from_slice(&x.to_le_bytes());
@@ -1384,7 +1386,7 @@ mod tests {
         let AnyStore::Exact(s) = &loaded else {
             panic!("variant changed");
         };
-        let got = s.rows().as_f32().unwrap();
+        let got = s.rows().exact_rows().unwrap();
         assert_eq!(got.len(), data.len());
         for (g, d) in got.iter().zip(&data) {
             assert_eq!(g.to_bits(), d.to_bits());

@@ -757,11 +757,16 @@ impl RowStorage {
         }
     }
 
-    /// Borrow the raw `f32` buffer; `None` for the compressed tiers.
-    pub fn as_f32(&self) -> Option<&[f32]> {
+    /// Borrow the exact `f32` rows this tier keeps, row-major in id
+    /// order: the rows themselves for F32, the re-rank source for SQ8
+    /// and PQ. `None` for F16, whose rows are rounded and keep no exact
+    /// copy. An index file uses this to store each row once.
+    pub fn exact_rows(&self) -> Option<&[f32]> {
         match self {
             RowStorage::F32(d) => Some(d),
-            RowStorage::F16(_) | RowStorage::Sq8(_) | RowStorage::Pq(_) => None,
+            RowStorage::Sq8(q) => Some(&q.source),
+            RowStorage::Pq(p) => Some(&p.source),
+            RowStorage::F16(_) => None,
         }
     }
 }
@@ -963,7 +968,9 @@ mod tests {
                 assert_eq!(o.to_bits(), d.to_bits());
             }
         }
-        assert!(st.as_f32().is_none());
+        assert_eq!(st.exact_rows(), Some(&data[..]));
+        let f16 = RowStorage::encode(RowPrecision::F16, dim, data);
+        assert!(f16.exact_rows().is_none());
     }
 
     #[test]
