@@ -112,8 +112,8 @@ fn main() {
 
     let config = ServerConfig::default();
     eprintln!(
-        "[serve] {} event loops, {} workers, queue depth {}, pipeline window {}",
-        config.event_loops, config.workers, config.queue_depth, config.max_pipeline
+        "[serve] {} event loops, {} workers, queue depth {}",
+        config.event_loops, config.workers, config.queue_depth
     );
     let server = Server::bind(service, addr.as_str(), config)
         .unwrap_or_else(|e| panic!("binding {addr}: {e}"));

@@ -21,7 +21,7 @@
 //!   disconnected once the write side stalls past the configured
 //!   timeout.
 //! * **Backpressure** — reading pauses (interest drops) while the
-//!   connection has `max_pipeline` requests in flight or more than
+//!   connection has a full pipeline window in flight or more than
 //!   [`WRITE_BUF_SOFT_CAP`] bytes of unsent responses, so one firehose
 //!   client cannot balloon server memory.
 

@@ -11,31 +11,52 @@
 //! [`SlotQueue`](crate::conn::SlotQueue), which is what makes
 //! pipelining safe.
 //!
+//! Loop 0 also owns the listener, registered in its poll set like any
+//! other fd: when it is readable, loop 0 accepts until `WouldBlock`,
+//! turns away sockets over the connection cap, and deals the rest
+//! round-robin to every loop (itself included) as [`LoopMsg::Conn`].
+//!
 //! A loop drives every connection from two stimuli only: readiness
-//! events and a bounded-interval tick (`poll_interval`, default 25 ms)
-//! that sweeps timeouts, parses lines freed up by pipeline capacity,
-//! and notices shutdown. The graceful-shutdown drain mirrors the
-//! blocking server exactly: for four poll intervals after the signal,
-//! already-received bytes keep being read and answered; then reads
-//! stop and the loop lives on only until every in-flight response has
-//! been written (or its client has stalled past the write timeout).
+//! events and a bounded-interval tick ([`TICK`], 25 ms) that sweeps
+//! timeouts, parses lines freed up by pipeline capacity, and notices
+//! shutdown. The graceful-shutdown drain mirrors the blocking server
+//! exactly: loop 0 closes the listener, and for four ticks after the
+//! signal already-received bytes keep being read and answered; then
+//! reads stop and the loop lives on only until every in-flight
+//! response has been written (or its client has stalled past the write
+//! timeout).
 
-use std::net::TcpStream;
+use std::io::{self, ErrorKind, Write};
+use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use seesaw_core::protocol::{ErrorCode, Response, MAX_LINE_BYTES};
 
 use crate::conn::{Conn, ConnState, ReadOutcome, WRITE_BUF_SOFT_CAP};
-use crate::poll::{Event, Interest, Poller, WakeRx, Waker};
+use crate::poll::{waker_pair, Event, Interest, Poller, WakeRx, Waker};
 use crate::queue::{Job, SubmitError};
 use crate::server::Shared;
 
 /// Poller token reserved for the loop's own waker.
 const WAKER_TOKEN: usize = usize::MAX;
+
+/// Poller token reserved for the listener (loop 0 only).
+const LISTENER_TOKEN: usize = usize::MAX - 1;
+
+/// Upper bound on how long a loop sleeps in the poller before
+/// sweeping timeouts and re-checking the shutdown flag. Bounds
+/// shutdown latency; not a protocol knob.
+const TICK: Duration = Duration::from_millis(25);
+
+/// Requests one connection may have accepted (response slot claimed)
+/// but not yet flushed before the loop stops reading from it. Execution
+/// itself is serialized per connection (arrival order); this bounds the
+/// response backlog a bursty connection can accumulate.
+const PIPELINE_WINDOW: usize = 64;
 
 /// Upper bound on how long a poisoned (oversized-line) connection may
 /// keep streaming before the loop hangs up regardless (the resulting
@@ -122,9 +143,18 @@ impl Slab {
     }
 }
 
+/// The listening socket and the loops it deals connections to.
+struct Acceptor {
+    listener: TcpListener,
+    loops: Vec<LoopHandle>,
+    next: usize,
+    /// Set after a hard accept error; the next tick re-arms readiness.
+    parked: bool,
+}
+
 /// One event-loop thread's state. Constructed on the binding thread
-/// (so poller/waker setup errors surface from [`Server::bind`]) and
-/// moved into the loop thread.
+/// (so poller/waker/listener setup errors surface from
+/// [`Server::bind`]) and moved into the loop thread.
 ///
 /// [`Server::bind`]: crate::Server::bind
 pub(crate) struct EventLoop {
@@ -138,18 +168,23 @@ pub(crate) struct EventLoop {
     next_generation: u64,
     /// False once the shutdown drain's read window has closed.
     reads_allowed: bool,
+    /// Loop 0's listener until shutdown; `None` on every other loop.
+    acceptor: Option<Acceptor>,
 }
 
 impl EventLoop {
-    pub(crate) fn new(
-        shared: Arc<Shared>,
-        poller: Poller,
-        wake_rx: WakeRx,
-        waker: Arc<Waker>,
-        rx: Receiver<LoopMsg>,
-        tx: Sender<LoopMsg>,
-    ) -> Self {
-        Self {
+    /// Build a loop with its poller and registered waker, plus the
+    /// handle other threads use to reach it.
+    pub(crate) fn new(shared: Arc<Shared>) -> io::Result<(Self, LoopHandle)> {
+        let mut poller = Poller::new()?;
+        let (waker, wake_rx) = waker_pair()?;
+        poller.register(wake_rx.fd(), WAKER_TOKEN, Interest::READ)?;
+        let (tx, rx) = channel();
+        let handle = LoopHandle {
+            tx: tx.clone(),
+            waker: Arc::clone(&waker),
+        };
+        let loop_state = Self {
             shared,
             poller,
             wake_rx,
@@ -159,23 +194,26 @@ impl EventLoop {
             conns: Slab::new(),
             next_generation: 0,
             reads_allowed: true,
-        }
+            acceptor: None,
+        };
+        Ok((loop_state, handle))
+    }
+
+    /// Make this loop the acceptor, dealing `socket`'s connections over `loops`.
+    pub(crate) fn listen(&mut self, socket: TcpListener, loops: Vec<LoopHandle>) -> io::Result<()> {
+        let fd = socket.as_raw_fd();
+        self.poller.register(fd, LISTENER_TOKEN, Interest::READ)?;
+        self.acceptor = Some(Acceptor {
+            listener: socket,
+            loops,
+            next: 0,
+            parked: false,
+        });
+        Ok(())
     }
 
     /// Run until shutdown completes. Consumes the loop.
     pub(crate) fn run(mut self) {
-        if self
-            .poller
-            .register(self.wake_rx.fd(), WAKER_TOKEN, Interest::READ)
-            .is_err()
-        {
-            // Without a waker the loop would still tick on the poll
-            // interval, but completions would lag; treat it as fatal
-            // for this loop (bind-time registration failing here is
-            // effectively fd exhaustion).
-            return;
-        }
-        let poll_interval = self.shared.config.poll_interval;
         let mut events: Vec<Event> = Vec::with_capacity(256);
         // Set when shutdown is observed: reads continue until this
         // instant, then only in-flight work is finished.
@@ -187,17 +225,22 @@ impl EventLoop {
         let mut next_sweep = Instant::now();
 
         loop {
-            if self.poller.wait(poll_interval, &mut events).is_err() {
+            if self.poller.wait(TICK, &mut events).is_err() {
                 // A persistently failing poller must not spin-burn the
                 // CPU; fall back to tick cadence.
-                std::thread::sleep(poll_interval);
+                std::thread::sleep(TICK);
             }
             let mut now = Instant::now();
             for i in 0..events.len() {
                 let ev = events[i];
-                if ev.token == WAKER_TOKEN {
+                match ev.token {
                     // Serviced unconditionally below.
-                    continue;
+                    WAKER_TOKEN => continue,
+                    LISTENER_TOKEN => {
+                        self.accept_ready();
+                        continue;
+                    }
+                    _ => {}
                 }
                 if ev.readable {
                     self.handle_read(ev.token, now);
@@ -236,7 +279,11 @@ impl EventLoop {
 
             now = Instant::now();
             if read_deadline.is_none() && self.shared.shutdown.load(Ordering::Acquire) {
-                read_deadline = Some(now + 4 * poll_interval);
+                read_deadline = Some(now + 4 * TICK);
+                // Stop accepting before the drain starts.
+                if let Some(acceptor) = self.acceptor.take() {
+                    let _ = self.poller.deregister(acceptor.listener.as_raw_fd());
+                }
             }
             if let Some(deadline) = read_deadline {
                 self.reads_allowed = now < deadline;
@@ -258,7 +305,7 @@ impl EventLoop {
             // correctness over throughput once shutdown is underway.
             if now >= next_sweep || read_deadline.is_some() {
                 self.tick(now, read_deadline);
-                next_sweep = now + poll_interval;
+                next_sweep = now + TICK;
             }
 
             if read_deadline.is_some_and(|d| Instant::now() >= d) && self.conns.live == 0 {
@@ -267,7 +314,54 @@ impl EventLoop {
         }
     }
 
-    /// Adopt a connection handed over by the accept thread.
+    /// Accept until `WouldBlock`. A socket over the connection cap gets
+    /// one nonblocking write of the `overloaded` line (a fresh socket's
+    /// send buffer always has room for it) and is dropped; every other
+    /// goes to the next loop round-robin. Accepting on one thread keeps
+    /// the cap exact.
+    fn accept_ready(&mut self) {
+        let shared = &self.shared;
+        while let Some(acceptor) = self.acceptor.as_mut() {
+            let stream = match acceptor.listener.accept() {
+                Ok((stream, _peer)) => stream,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => {
+                    // A transient failure (`EMFILE`, a reset before
+                    // accept) must not kill the listener, but
+                    // level-triggered readiness would report it on
+                    // every wait: park it until the next tick.
+                    acceptor.parked = true;
+                    let _ = self.poller.deregister(acceptor.listener.as_raw_fd());
+                    return;
+                }
+            };
+            let stats = &shared.counters;
+            if shared.open_connections.load(Ordering::Acquire) >= shared.config.max_connections {
+                stats.connections_rejected.fetch_add(1, Ordering::Relaxed);
+                let mut line = shared.overloaded_line("connection limit reached, retry later");
+                line.push('\n');
+                if stream.set_nonblocking(true).is_ok() {
+                    let _ = (&stream).write(line.as_bytes());
+                }
+                continue;
+            }
+            // Reserve the cap slot before the handoff; the owning loop
+            // releases it when the connection closes.
+            shared.open_connections.fetch_add(1, Ordering::AcqRel);
+            let handle = &acceptor.loops[acceptor.next % acceptor.loops.len()];
+            acceptor.next = acceptor.next.wrapping_add(1);
+            if handle.tx.send(LoopMsg::Conn(stream)).is_ok() {
+                handle.waker.wake();
+                stats.connections_accepted.fetch_add(1, Ordering::Relaxed);
+            } else {
+                // The loop is gone (shutdown race): release the slot.
+                shared.open_connections.fetch_sub(1, Ordering::AcqRel);
+            }
+        }
+    }
+
+    /// Adopt a connection handed over by the acceptor.
     fn admit(&mut self, stream: TcpStream, now: Instant) {
         if stream.set_nonblocking(true).is_err() {
             self.shared.open_connections.fetch_sub(1, Ordering::AcqRel);
@@ -341,7 +435,6 @@ impl EventLoop {
     /// Frame and dispatch buffered lines (bounded by pipeline
     /// capacity), poison on an oversized partial line, then flush.
     fn process(&mut self, token: usize, now: Instant) {
-        let max_pipeline = self.shared.config.max_pipeline;
         loop {
             let Some(conn) = self.conns.get_mut(token) else {
                 return;
@@ -357,7 +450,7 @@ impl EventLoop {
             if conn.slots.awaiting_worker() {
                 break;
             }
-            if conn.slots.in_flight() >= max_pipeline {
+            if conn.slots.in_flight() >= PIPELINE_WINDOW {
                 break;
             }
             let Some(line) = conn.next_line() else {
@@ -476,14 +569,13 @@ impl EventLoop {
     /// buffer requests writability).
     fn update_interest(&mut self, token: usize) {
         let reads_allowed = self.reads_allowed;
-        let max_pipeline = self.shared.config.max_pipeline;
         let Some(conn) = self.conns.get_mut(token) else {
             return;
         };
         let readable = reads_allowed
             && match conn.state {
                 ConnState::Open => {
-                    conn.slots.in_flight() < max_pipeline
+                    conn.slots.in_flight() < PIPELINE_WINDOW
                         && conn.wbuf_pending() < WRITE_BUF_SOFT_CAP
                 }
                 ConnState::ReadClosed => false,
@@ -503,13 +595,19 @@ impl EventLoop {
         }
     }
 
-    /// The per-tick sweep: progress stalled connections and enforce
-    /// every deadline.
+    /// The per-tick sweep: re-arm a parked listener, progress stalled
+    /// connections and enforce every deadline.
     fn tick(&mut self, now: Instant, read_deadline: Option<Instant>) {
         let read_timeout = self.shared.config.read_timeout;
         let write_timeout = self.shared.config.write_timeout;
-        let quiet_window = 2 * self.shared.config.poll_interval;
+        let quiet_window = 2 * TICK;
         let draining = read_deadline.is_some();
+
+        if let Some(acceptor) = self.acceptor.as_mut().filter(|a| a.parked) {
+            acceptor.parked = false;
+            let fd = acceptor.listener.as_raw_fd();
+            let _ = self.poller.register(fd, LISTENER_TOKEN, Interest::READ);
+        }
 
         for token in 0..self.conns.slots.len() {
             if self.conns.get_mut(token).is_none() {
@@ -574,26 +672,9 @@ impl EventLoop {
     }
 }
 
-/// Accept-side handle to one loop: where new connections and wakes go.
+/// A handle to one loop from outside its thread: the acceptor deals
+/// connections through it, and the server wakes the loop at shutdown.
 pub(crate) struct LoopHandle {
-    pub(crate) tx: Sender<LoopMsg>,
+    tx: Sender<LoopMsg>,
     pub(crate) waker: Arc<Waker>,
-}
-
-impl LoopHandle {
-    /// Hand a connection to the loop; returns it on failure (loop
-    /// gone) so the caller can account the rejection.
-    pub(crate) fn send_conn(&self, stream: TcpStream) -> Result<(), TcpStream> {
-        match self.tx.send(LoopMsg::Conn(stream)) {
-            Ok(()) => {
-                self.waker.wake();
-                Ok(())
-            }
-            Err(e) => match e.0 {
-                LoopMsg::Conn(stream) => Err(stream),
-                // send() returns the exact message we passed in.
-                LoopMsg::Done { .. } => unreachable!("send_conn only sends Conn"),
-            },
-        }
-    }
 }

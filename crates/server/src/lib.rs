@@ -22,7 +22,8 @@
 //! threads over nonblocking sockets:
 //!
 //! ```text
-//! accept thread ──► event loops (event_loops threads, round-robin)
+//! listener ──► event loops (event_loops threads; loop 0 accepts and
+//!                      │    deals sockets round-robin to every loop)
 //!                      │  own all connection state: read buffers,
 //!                      │  newline framing, in-order response slots,
 //!                      │  pending-write flushing (≤ max_connections)
@@ -54,14 +55,13 @@
 //!   of accepted requests stays flat and memory stays bounded, and the
 //!   client learns, in-band, to back off. The connection cap sheds the
 //!   same way: one `overloaded` line, then close. Per connection, the
-//!   loop stops *reading* while `max_pipeline` requests are in flight
-//!   or more than 256 KiB of responses are unsent, so neither a
-//!   firehose client nor one that never reads can balloon memory or
-//!   stall its loop.
-//! * **Graceful shutdown drains.** [`Server::shutdown`] stops the
-//!   accept thread, answers every request line already received (its
-//!   real result if it reaches the queue, an `overloaded` error if
-//!   not), then joins every thread. Nothing accepted is abandoned
+//!   loop stops *reading* while 64 requests are in flight or more than
+//!   256 KiB of responses are unsent, so neither a firehose client nor
+//!   one that never reads can balloon memory or stall its loop.
+//! * **Graceful shutdown drains.** [`Server::shutdown`] closes the
+//!   listener, answers every request line already received (its real
+//!   result if it reaches the queue, an `overloaded` error if not),
+//!   then joins every thread. Nothing accepted is abandoned
 //!   mid-flight.
 //! * **Bounded reads and writes.** A connection may not pin more than
 //!   [`MAX_LINE_BYTES`](seesaw_core::MAX_LINE_BYTES) of partial line,

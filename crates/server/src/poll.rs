@@ -149,15 +149,15 @@ mod sys {
             Ok(())
         }
 
-        pub fn register(&self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
+        pub fn register(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
             self.ctl(EPOLL_CTL_ADD, fd, token, interest)
         }
 
-        pub fn modify(&self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
+        pub fn modify(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
             self.ctl(EPOLL_CTL_MOD, fd, token, interest)
         }
 
-        pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
+        pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
             // The event argument is ignored for DEL on every kernel
             // this crate supports (>= 2.6.9), but must be non-null for
             // the oldest ones; pass a dummy either way.
@@ -319,8 +319,8 @@ compile_error!(
 );
 
 /// The write half of a loop's wakeup channel, shared (via `Arc`) with
-/// workers and the accept thread. [`Waker::wake`] is safe from any
-/// thread and never blocks.
+/// workers, the accepting loop and the server handle. [`Waker::wake`]
+/// is safe from any thread and never blocks.
 pub(crate) struct Waker {
     tx: UnixStream,
     /// Collapses bursts: only the first wake after a

@@ -1,17 +1,16 @@
-//! The TCP front end: accept thread, readiness-polled event loops,
-//! worker pool, and graceful shutdown.
+//! The TCP front end: readiness-polled event loops, worker pool, and
+//! graceful shutdown.
 //!
 //! Threading model (see the [crate docs](crate) for the full picture):
-//! one accept thread hands sockets round-robin to a small fixed set of
-//! event-loop threads ([`EventLoop`]), each of which multiplexes its
-//! share of the connections over nonblocking I/O; CPU-bound request
-//! dispatch stays on the bounded-queue worker pool, with completions
-//! routed back to the owning loop.
+//! a small fixed set of event-loop threads ([`EventLoop`]) each
+//! multiplex their share of the connections over nonblocking I/O. The
+//! listener is one more fd in loop 0's poll set: loop 0 accepts and
+//! deals sockets round-robin to every loop, itself included. CPU-bound
+//! request dispatch stays on the bounded-queue worker pool, with
+//! completions routed back to the owning loop.
 
-use std::io::{ErrorKind, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::channel;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -19,8 +18,8 @@ use std::time::Duration;
 use seesaw_core::protocol::{ErrorCode, Response};
 use seesaw_core::SearchService;
 
-use crate::event_loop::{EventLoop, LoopHandle};
-use crate::poll::{waker_pair, Poller, Waker};
+use crate::event_loop::EventLoop;
+use crate::poll::Waker;
 use crate::queue::{Job, JobQueue};
 
 /// Tuning knobs for a [`Server`]. The defaults suit tests and small
@@ -43,13 +42,6 @@ pub struct ServerConfig {
     /// Concurrent connections; further accepts are sent one
     /// `overloaded` line and closed (default 256).
     pub max_connections: usize,
-    /// Requests one connection may have accepted (response slot
-    /// claimed) but not yet flushed before the loop stops reading from
-    /// it — the per-connection pipelining window (default 64).
-    /// Execution itself is serialized per connection (arrival order);
-    /// this bounds the response backlog a bursty connection can
-    /// accumulate.
-    pub max_pipeline: usize,
     /// How long a connection may sit idle (no complete request line)
     /// before the server closes it (default 30 s).
     pub read_timeout: Duration,
@@ -57,11 +49,6 @@ pub struct ServerConfig {
     /// progress (client not draining its socket) before the server
     /// disconnects it (default 10 s).
     pub write_timeout: Duration,
-    /// Upper bound on an event-loop tick: how long a loop may sleep in
-    /// the poller before sweeping timeouts and re-checking the
-    /// shutdown flag (default 25 ms). Bounds shutdown latency; not a
-    /// protocol knob.
-    pub poll_interval: Duration,
 }
 
 impl Default for ServerConfig {
@@ -71,10 +58,8 @@ impl Default for ServerConfig {
             event_loops: 2,
             queue_depth: 64,
             max_connections: 256,
-            max_pipeline: 64,
             read_timeout: Duration::from_secs(30),
             write_timeout: Duration::from_secs(10),
-            poll_interval: Duration::from_millis(25),
         }
     }
 }
@@ -102,12 +87,6 @@ impl ServerConfig {
     /// Set the concurrent-connection cap.
     pub fn with_max_connections(mut self, cap: usize) -> Self {
         self.max_connections = cap.max(1);
-        self
-    }
-
-    /// Set the per-connection pipelining window.
-    pub fn with_max_pipeline(mut self, depth: usize) -> Self {
-        self.max_pipeline = depth.max(1);
         self
     }
 
@@ -149,8 +128,8 @@ pub struct ServerStats {
     pub requests_rejected_saturated: u64,
 }
 
-/// Shared state between the accept thread, event loops, worker pool,
-/// and the owning [`Server`] handle.
+/// Shared state between the event loops, worker pool, and the owning
+/// [`Server`] handle.
 pub(crate) struct Shared {
     pub service: Arc<SearchService>,
     pub config: ServerConfig,
@@ -173,8 +152,8 @@ impl Shared {
 /// A running TCP server speaking the newline-delimited
 /// [`seesaw_core::protocol`] over real sockets.
 ///
-/// Lifecycle: [`Server::bind`] spawns the accept thread, the event
-/// loops, and the worker pool, and returns immediately;
+/// Lifecycle: [`Server::bind`] spawns the event loops (loop 0 also
+/// accepts) and the worker pool, and returns immediately;
 /// [`Server::local_addr`] gives the bound address (bind port 0 for an
 /// ephemeral one); [`Server::shutdown`] drains in-flight requests and
 /// joins every thread. Dropping a running server shuts it down the
@@ -184,7 +163,6 @@ impl Shared {
 pub struct Server {
     shared: Arc<Shared>,
     local_addr: SocketAddr,
-    accept_thread: Option<JoinHandle<()>>,
     loop_threads: Vec<JoinHandle<()>>,
     loop_wakers: Vec<Arc<Waker>>,
     worker_threads: Vec<JoinHandle<()>>,
@@ -196,7 +174,8 @@ impl Server {
     ///
     /// # Errors
     /// Propagates the bind failure (`EADDRINUSE`, permission, …) and
-    /// any failure to set up the event loops' pollers (fd exhaustion).
+    /// any failure to set up the event loops' pollers or to register
+    /// the listener with loop 0 (fd exhaustion).
     pub fn bind(
         service: Arc<SearchService>,
         addr: impl ToSocketAddrs,
@@ -204,8 +183,8 @@ impl Server {
     ) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        // Nonblocking accept + poll keeps shutdown latency bounded
-        // without signals or a self-connect.
+        // Loop 0 accepts until `WouldBlock`, so the listener must never
+        // block it.
         listener.set_nonblocking(true)?;
 
         let shared = Arc::new(Shared {
@@ -217,29 +196,17 @@ impl Server {
             counters: Counters::default(),
         });
 
-        // Build every loop's poller and waker *before* spawning any
-        // thread, so a setup failure unwinds cleanly out of bind.
+        // Build every loop and register the listener *before* spawning
+        // any thread, so a setup failure unwinds cleanly out of bind.
         let mut loops = Vec::new();
         let mut handles = Vec::new();
-        let mut loop_wakers = Vec::new();
         for _ in 0..shared.config.event_loops.max(1) {
-            let poller = Poller::new()?;
-            let (waker, wake_rx) = waker_pair()?;
-            let (tx, rx) = channel();
-            handles.push(LoopHandle {
-                tx: tx.clone(),
-                waker: Arc::clone(&waker),
-            });
-            loop_wakers.push(Arc::clone(&waker));
-            loops.push(EventLoop::new(
-                Arc::clone(&shared),
-                poller,
-                wake_rx,
-                waker,
-                rx,
-                tx,
-            ));
+            let (ev, handle) = EventLoop::new(Arc::clone(&shared))?;
+            loops.push(ev);
+            handles.push(handle);
         }
+        let loop_wakers = handles.iter().map(|h| Arc::clone(&h.waker)).collect();
+        loops[0].listen(listener, handles)?;
 
         // Spawn failures (thread limits, OOM) propagate out of bind
         // like any other setup error instead of panicking.
@@ -262,17 +229,9 @@ impl Server {
             })
             .collect::<std::io::Result<Vec<_>>>()?;
 
-        let accept_thread = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("seesaw-accept".to_string())
-                .spawn(move || accept_loop(&listener, &shared, handles))?
-        };
-
         Ok(Self {
             shared,
             local_addr,
-            accept_thread: Some(accept_thread),
             loop_threads,
             loop_wakers,
             worker_threads,
@@ -318,13 +277,11 @@ impl Server {
 
     fn shutdown_in_place(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
-        if let Some(accept) = self.accept_thread.take() {
-            let _ = accept.join();
-        }
-        // Nudge every loop so none sleeps out a full poll interval
-        // before noticing the flag; they then drain (workers are still
-        // alive here, which is what makes the drain work) and exit
-        // once their last connection closes.
+        // Nudge every loop so none sleeps out a full tick before
+        // noticing the flag; loop 0 then closes the listener, and all
+        // of them drain (workers are still alive here, which is what
+        // makes the drain work) and exit once their last connection
+        // closes.
         for waker in &self.loop_wakers {
             waker.wake();
         }
@@ -342,7 +299,7 @@ impl Server {
 
 impl Drop for Server {
     fn drop(&mut self) {
-        if self.accept_thread.is_some() || !self.worker_threads.is_empty() {
+        if !self.worker_threads.is_empty() {
             self.shutdown_in_place();
         }
     }
@@ -355,71 +312,4 @@ fn worker_loop(shared: &Shared) {
         let response = shared.service.handle_line(&line);
         reply.send(response);
     }
-}
-
-/// Accept thread: enforce the connection cap, hand accepted sockets to
-/// the event loops round-robin, and exit promptly on shutdown.
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, handles: Vec<LoopHandle>) {
-    let mut next = 0usize;
-    while !shared.shutdown.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let open = shared.open_connections.load(Ordering::Acquire);
-                if open >= shared.config.max_connections {
-                    shared
-                        .counters
-                        .connections_rejected
-                        .fetch_add(1, Ordering::Relaxed);
-                    reject_connection(stream, shared);
-                    continue;
-                }
-                // Reserve the cap slot before the handoff; the owning
-                // loop releases it when the connection closes.
-                shared.open_connections.fetch_add(1, Ordering::AcqRel);
-                let mut stream = Some(stream);
-                for attempt in 0..handles.len() {
-                    let handle = &handles[(next + attempt) % handles.len()];
-                    let Some(s) = stream.take() else { break };
-                    match handle.send_conn(s) {
-                        Ok(()) => break,
-                        // A loop only disappears at shutdown; fall
-                        // through to the next one.
-                        Err(back) => stream = Some(back),
-                    }
-                }
-                next = next.wrapping_add(1);
-                match stream {
-                    None => {
-                        shared
-                            .counters
-                            .connections_accepted
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                    // Every loop refused (shutdown race): release the
-                    // slot and drop the socket.
-                    Some(_) => {
-                        shared.open_connections.fetch_sub(1, Ordering::AcqRel);
-                    }
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(shared.config.poll_interval);
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            // Transient per-connection accept failures (reset before
-            // accept, file-descriptor pressure) must not kill the
-            // listener.
-            Err(_) => std::thread::sleep(shared.config.poll_interval),
-        }
-    }
-}
-
-/// Tell a turned-away client why, in-band, then close. Runs on the
-/// accept thread with a bounded blocking write — rejected sockets
-/// never touch an event loop.
-fn reject_connection(mut stream: TcpStream, shared: &Shared) {
-    let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
-    let mut line = shared.overloaded_line("connection limit reached, retry later");
-    line.push('\n');
-    let _ = stream.write_all(line.as_bytes());
 }

@@ -340,6 +340,29 @@ fn connection_cap_rejects_with_an_overloaded_line() {
 }
 
 #[test]
+fn fresh_connections_are_served_without_waiting_a_tick() {
+    let (_ds, service) = service(37);
+    let server = Server::bind(service, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    // Let the listener go idle first, as a real server's does.
+    std::thread::sleep(Duration::from_millis(5));
+    let mut round_trips: Vec<Duration> = (0..5)
+        .map(|_| {
+            let mut client = Client::connect(server.local_addr()).unwrap();
+            let started = Instant::now();
+            // The protocol error for an empty line needs no session.
+            client.call_line("").unwrap();
+            started.elapsed()
+        })
+        .collect();
+    round_trips.sort_unstable();
+    assert!(
+        round_trips[2] < Duration::from_millis(10),
+        "a fresh connection waited for its first reply: {round_trips:?}"
+    );
+    server.shutdown();
+}
+
+#[test]
 fn idle_connections_are_closed_after_the_read_timeout() {
     let (_ds, service) = service(31);
     let config = ServerConfig::default().with_read_timeout(Duration::from_millis(150));

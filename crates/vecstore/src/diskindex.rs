@@ -1017,6 +1017,11 @@ fn rows_from_file(
 
 /// Serialize a store to an in-memory `SSAWIDX1` blob.
 pub fn encode_store(store: &AnyStore) -> Vec<u8> {
+    store_builder(store).to_bytes()
+}
+
+/// A store's `SSAWIDX1` sections, meta first.
+fn store_builder(store: &AnyStore) -> IndexFileBuilder {
     let mut b = IndexFileBuilder::new();
     let dim = store.dim();
     let n_rows = store.len();
@@ -1057,24 +1062,13 @@ pub fn encode_store(store: &AnyStore) -> Vec<u8> {
     for (kind, payload) in b.sections {
         with_meta.section(kind, payload);
     }
-    with_meta.to_bytes()
+    with_meta
 }
 
 /// Save a store to `path` in the `SSAWIDX1` format (atomic
 /// write-then-rename).
 pub fn save_store(store: &AnyStore, path: &Path) -> Result<(), DiskIndexError> {
-    let bytes = encode_store(store);
-    let tmp = path.with_extension("tmp-ssawidx");
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(&bytes)?;
-        f.sync_all()?;
-    }
-    if let Err(e) = std::fs::rename(&tmp, path) {
-        let _ = std::fs::remove_file(&tmp);
-        return Err(e.into());
-    }
-    Ok(())
+    Ok(store_builder(store).write_to_file(path)?)
 }
 
 /// Reconstruct a store from a parsed [`IndexFile`] (which may be a
