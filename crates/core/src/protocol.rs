@@ -57,7 +57,8 @@ pub const MAX_LINE_BYTES: usize = 64 * 1024;
 pub enum MethodSpec {
     /// Zero-shot CLIP (`"zero_shot"`).
     ZeroShot,
-    /// Few-shot logistic refit (`"few_shot"`).
+    /// Few-shot CLIP, Eq. 1, as the aligner with λc = λD = 0
+    /// (`"few_shot"`).
     FewShot,
     /// Rocchio's formula (`"rocchio"`).
     Rocchio,
@@ -70,9 +71,6 @@ pub enum MethodSpec {
     SeeSaw,
     /// SeeSaw with CLIP alignment only (`"seesaw_clip_only"`).
     SeeSawClipOnly,
-    /// SeeSaw bootstrapped with blind pseudo-relevance feedback
-    /// (`"seesaw_blind"`).
-    SeeSawBlind,
     /// The label-propagation variant (`"seesaw_prop"`).
     SeeSawProp,
 }
@@ -87,7 +85,6 @@ impl MethodSpec {
             Self::Ens { .. } => "ens",
             Self::SeeSaw => "seesaw",
             Self::SeeSawClipOnly => "seesaw_clip_only",
-            Self::SeeSawBlind => "seesaw_blind",
             Self::SeeSawProp => "seesaw_prop",
         }
     }
@@ -96,12 +93,11 @@ impl MethodSpec {
     pub fn to_config(self) -> MethodConfig {
         match self {
             Self::ZeroShot => MethodConfig::zero_shot(),
-            Self::FewShot => MethodConfig::few_shot(),
+            Self::FewShot => MethodConfig::seesaw_few_shot(),
             Self::Rocchio => MethodConfig::rocchio(),
             Self::Ens { horizon } => MethodConfig::ens(horizon as usize),
             Self::SeeSaw => MethodConfig::seesaw(),
             Self::SeeSawClipOnly => MethodConfig::seesaw_clip_only(),
-            Self::SeeSawBlind => MethodConfig::seesaw_blind(),
             Self::SeeSawProp => MethodConfig::seesaw_prop(),
         }
     }
@@ -374,7 +370,6 @@ impl Request {
                     },
                     "seesaw" => MethodSpec::SeeSaw,
                     "seesaw_clip_only" => MethodSpec::SeeSawClipOnly,
-                    "seesaw_blind" => MethodSpec::SeeSawBlind,
                     "seesaw_prop" => MethodSpec::SeeSawProp,
                     other => {
                         return Err(ProtocolError::new(format!("unknown method {other:?}")));
@@ -998,6 +993,7 @@ mod tests {
             r#"{"type":"next_batch","session":"three","n":1}"#,
             r#"{"type":"next_batch","session":3}"#,
             r#"{"type":"create","concept":1,"method":"ens"}"#, // missing horizon
+            r#"{"type":"create","concept":1,"method":"seesaw_blind"}"#, // unknown method
             r#"{"type":"feedback","session":0,"image":1,"relevant":true,"boxes":[[1,2,3]]}"#,
             r#"{"type":"stats","session":1}garbage"#,
             r#"{"type":"error","code":"no_such_code","message":"x"}"#,
@@ -1046,7 +1042,6 @@ mod tests {
             MethodSpec::Ens { horizon: 123 },
             MethodSpec::SeeSaw,
             MethodSpec::SeeSawClipOnly,
-            MethodSpec::SeeSawBlind,
             MethodSpec::SeeSawProp,
         ] {
             let req = Request::Create {

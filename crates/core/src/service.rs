@@ -783,6 +783,88 @@ mod tests {
             panic!("garbage must decode to a protocol error, got {reply}");
         };
         assert_eq!(code, ErrorCode::Protocol);
+
+        // An unknown method name is the decoder's typed error, naming
+        // the method — never silently another method.
+        let reply = service.handle_line(r#"{"type":"create","concept":1,"method":"seesaw_blind"}"#);
+        let Response::Error { code, message } = Response::decode(&reply).unwrap() else {
+            panic!("an unknown method must be an error, got {reply}");
+        };
+        assert_eq!(code, ErrorCode::Protocol);
+        assert!(message.contains("seesaw_blind"), "got {message:?}");
+    }
+
+    #[test]
+    fn huge_batch_size_on_the_wire_returns_the_rest_and_keeps_serving() {
+        let ds = Arc::new(DatasetSpec::coco_like(0.0).with_max_queries(5).generate(5));
+        let idx = Preprocessor::new(PreprocessConfig::fast()).build(&ds);
+        let service = SearchService::new(idx, Arc::clone(&ds));
+        let concept = ds.queries()[0].concept;
+        let session = service
+            .create_session(concept, MethodConfig::zero_shot())
+            .unwrap()
+            .raw();
+        let ask = |n| {
+            Response::decode(&service.handle_line(&Request::NextBatch { session, n }.encode()))
+                .unwrap()
+        };
+        let Response::Batch { images: first } = ask(1) else {
+            panic!("a fresh session has images");
+        };
+        let Response::Batch { images: rest } = ask(u32::MAX) else {
+            panic!("a huge n must return the remaining images");
+        };
+        assert_eq!(first.len() + rest.len(), ds.n_images());
+        assert_eq!(ask(u32::MAX), Response::Exhausted, "still serving");
+    }
+
+    #[test]
+    fn few_shot_on_the_wire_is_the_eq1_aligner_session() {
+        // `"few_shot"` and `MethodConfig::seesaw_few_shot()` must be one
+        // session: the same batches and a bitwise-identical query.
+        let (ds, service) = service();
+        let concept = ds.queries()[0].concept;
+        let user = SimulatedUser::new(&ds);
+        let create = format!(r#"{{"type":"create","concept":{concept},"method":"few_shot"}}"#);
+        let Response::Created { session } =
+            Response::decode(&service.handle_line(&create)).unwrap()
+        else {
+            panic!("few_shot must create a session");
+        };
+        let mut local = Session::start(
+            service.index(),
+            &ds,
+            concept,
+            MethodConfig::seesaw_few_shot(),
+        );
+        for _ in 0..5 {
+            let reply = service.handle_line(&Request::NextBatch { session, n: 2 }.encode());
+            let Response::Batch { images } = Response::decode(&reply).unwrap() else {
+                panic!("expected Batch, got {reply}");
+            };
+            assert_eq!(images, local.next_batch(2));
+            for img in images {
+                let fb = user.annotate(img, concept);
+                let line = Request::Feedback {
+                    session,
+                    image: fb.image,
+                    relevant: fb.relevant,
+                    boxes: fb.boxes.clone(),
+                }
+                .encode();
+                assert_eq!(service.handle_line(&line), Response::Ack.encode());
+                local.feedback(fb);
+            }
+        }
+        let served = service.lookup(SessionId::from_raw(session)).unwrap();
+        let bits = |q: &[f32]| q.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(served.lock().current_query()),
+            bits(local.current_query())
+        );
+        // Few-shot only refits after a positive, so this also proves
+        // the Eq. 1 solve ran.
+        assert_ne!(bits(local.current_query()), bits(local.q0()), "never refit");
     }
 
     #[test]

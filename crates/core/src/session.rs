@@ -12,9 +12,10 @@
 //! ```
 //!
 //! The [`Method`] enum selects what `query_align` does: nothing
-//! (zero-shot), logistic refit (few-shot), Rocchio's formula, the ENS
-//! active-search policy, the SeeSaw aligner (CLIP + DB alignment), or
-//! the label-propagation variant (`prop.`, the Table 6 comparator).
+//! (zero-shot), Rocchio's formula, the ENS active-search policy, the
+//! SeeSaw aligner — few-shot CLIP (Eq. 1), CLIP alignment, or CLIP + DB
+//! alignment, by its [`AlignerConfig`] — or the label-propagation
+//! variant (`prop.`, the Table 6 comparator).
 
 use seesaw_aligner::{AlignerConfig, QueryAligner};
 use seesaw_baselines::{EnsConfig, EnsSearcher, Rocchio, RocchioConfig};
@@ -36,8 +37,6 @@ pub enum Method {
     /// A caller-supplied fixed query vector (used for the Fig. 4 ideal
     /// vector and diagnostics).
     FixedVector(Vec<f32>),
-    /// Few-shot CLIP (Eq. 1): logistic refit on the feedback.
-    FewShot,
     /// Rocchio's algorithm (Eq. 6).
     Rocchio(RocchioConfig),
     /// Efficient Nonmyopic Search over coarse embeddings, with CLIP
@@ -50,23 +49,10 @@ pub enum Method {
         /// Bandwidth rule for the ENS kNN weights.
         sigma: SigmaRule,
     },
-    /// The SeeSaw aligner. DB alignment activates when the index carries
-    /// an `M_D` and `lambda_d > 0`.
+    /// The SeeSaw aligner. With `lambda_c = lambda_d = 0` it is
+    /// few-shot CLIP (Eq. 1); DB alignment activates when the index
+    /// carries an `M_D` and `lambda_d > 0`.
     SeeSaw(AlignerConfig),
-    /// SeeSaw bootstrapped with *blind* (pseudo-relevance) feedback —
-    /// the paper's future-work direction of "reducing or removing
-    /// explicit user feedback": the top `assume_top` patches of the
-    /// initial lookup are treated as weak positives (weight
-    /// `pseudo_weight` each) before any user input, classic
-    /// blind-feedback style; real feedback then accumulates on top.
-    SeeSawBlind {
-        /// Aligner settings.
-        aligner: AlignerConfig,
-        /// How many initial top patches to pseudo-label positive.
-        assume_top: usize,
-        /// Evidence weight of each pseudo-positive (≪ 1).
-        pseudo_weight: f32,
-    },
     /// SeeSaw with explicit label propagation every round — the
     /// interactivity comparator of Table 6 (§4.2 explains why this is
     /// the slow path).
@@ -104,14 +90,6 @@ impl MethodConfig {
     pub fn fixed(v: Vec<f32>) -> Self {
         Self {
             method: Method::FixedVector(v),
-            search_k: 8192,
-        }
-    }
-
-    /// Few-shot CLIP (Eq. 1).
-    pub fn few_shot() -> Self {
-        Self {
-            method: Method::FewShot,
             search_k: 8192,
         }
     }
@@ -165,24 +143,11 @@ impl MethodConfig {
         }
     }
 
-    /// The few-shot baseline expressed through the aligner loss (used in
-    /// the ablation, mathematically Eq. 1 without bias).
+    /// Few-shot CLIP: the aligner loss with λc = λD = 0, i.e. Eq. 1
+    /// without bias (the wire's `"few_shot"`).
     pub fn seesaw_few_shot() -> Self {
         Self {
             method: Method::SeeSaw(AlignerConfig::few_shot()),
-            search_k: 8192,
-        }
-    }
-
-    /// SeeSaw with blind (pseudo-relevance) bootstrapping — no user
-    /// input needed for the first alignment (future-work §7 direction).
-    pub fn seesaw_blind() -> Self {
-        Self {
-            method: Method::SeeSawBlind {
-                aligner: AlignerConfig::default(),
-                assume_top: 8,
-                pseudo_weight: 0.15,
-            },
             search_k: 8192,
         }
     }
@@ -267,8 +232,6 @@ impl Session {
         config: MethodConfig,
     ) -> Self {
         let q0 = normalized(&q0);
-        let mut pseudo_patches: Vec<u32> = Vec::new();
-        let mut pseudo_w = 0.0f32;
         let (state, query) = match config.method {
             Method::ZeroShot => (State::Fixed, q0.clone()),
             Method::FixedVector(v) => {
@@ -276,10 +239,6 @@ impl Session {
                 let v = normalized(&v);
                 (State::Fixed, v)
             }
-            Method::FewShot => (
-                State::Aligner(QueryAligner::new(&q0, AlignerConfig::few_shot())),
-                q0.clone(),
-            ),
             Method::Rocchio(cfg) => (State::Rocchio(Rocchio::new(&q0, cfg)), q0.clone()),
             Method::Ens {
                 horizon,
@@ -327,25 +286,6 @@ impl Session {
                 }
                 (State::Aligner(aligner), q0.clone())
             }
-            Method::SeeSawBlind {
-                aligner,
-                assume_top,
-                pseudo_weight,
-            } => {
-                let mut a = QueryAligner::new(&q0, aligner);
-                if a.config().lambda_d > 0.0 {
-                    if let Some(md) = &index.m_d {
-                        a = a.with_db_matrix(md.clone());
-                    }
-                }
-                // Pseudo-positives: top initial hits, weakly weighted.
-                let hits = index
-                    .store
-                    .top_k_budgeted(&q0, assume_top, config.search_k, &|_| true);
-                pseudo_patches = hits.iter().map(|h| h.id).collect();
-                pseudo_w = pseudo_weight.max(0.0);
-                (State::Aligner(a), q0.clone())
-            }
             Method::SeeSawProp {
                 aligner,
                 prop,
@@ -360,13 +300,12 @@ impl Session {
                 q0.clone(),
             ),
         };
-        let seen = vec![false; index.n_images()];
-        let mut session = Self {
+        Self {
             index: Arc::clone(index),
             concept,
             q0,
             query,
-            seen,
+            seen: vec![false; index.n_images()],
             n_seen: 0,
             n_feedback: 0,
             pending: Vec::new(),
@@ -376,20 +315,12 @@ impl Session {
             example_weights: Vec::new(),
             any_positive: false,
             search_k: config.search_k,
-        };
-        if !pseudo_patches.is_empty() && pseudo_w > 0.0 {
-            for p in pseudo_patches {
-                session.example_patches.push(p);
-                session.example_labels.push(true);
-                session.example_weights.push(pseudo_w);
-            }
-            session.realign();
         }
-        session
     }
 
     /// Re-solve the aligner on the current example set (aligner-family
-    /// methods only; a no-op otherwise).
+    /// methods only; a no-op otherwise). The one place a session
+    /// gathers its examples and solves.
     fn realign(&mut self) {
         if let State::Aligner(aligner) = &self.state {
             let examples: Vec<&[f32]> = self
@@ -433,6 +364,9 @@ impl Session {
     /// Next batch of up to `n` unseen images (Listing 1, line 4). Fewer
     /// are returned when the database is nearly exhausted.
     pub fn next_batch(&mut self, n: usize) -> Vec<ImageId> {
+        // More than the unseen remainder returns all of it; the clamp
+        // bounds the allocation, the ENS loop and the patch request.
+        let n = n.min(self.seen.len() - self.n_seen);
         let mut out: Vec<ImageId> = Vec::with_capacity(n);
         match &mut self.state {
             State::Ens(searcher) if self.any_positive => {
@@ -558,16 +492,7 @@ impl Session {
                 // Anchored variants (CLIP alignment) can use negative
                 // feedback immediately — the q₀ term keeps them stable.
                 if self.any_positive || aligner.config().lambda_c > 0.0 {
-                    let examples: Vec<&[f32]> = self
-                        .example_patches
-                        .iter()
-                        .map(|&p| self.index.patch_vector(p))
-                        .collect();
-                    self.query = aligner.align_weighted(
-                        &examples,
-                        &self.example_labels,
-                        Some(&self.example_weights),
-                    );
+                    self.realign();
                 }
             }
             State::Prop {
@@ -720,7 +645,7 @@ mod tests {
             MethodConfig::zero_shot(),
             MethodConfig::seesaw(),
             MethodConfig::rocchio(),
-            MethodConfig::few_shot(),
+            MethodConfig::seesaw_few_shot(),
             MethodConfig::ens(30),
         ] {
             let mut session = Session::start(&idx, &ds, concept, cfg);
@@ -824,38 +749,11 @@ mod tests {
         let got = s.next_batch(100);
         assert_eq!(got.len(), 60);
         assert!(s.next_batch(5).is_empty());
-    }
-
-    #[test]
-    fn blind_bootstrap_moves_query_before_any_feedback() {
-        let (ds, idx) = setup();
-        let concept = ds.queries()[0].concept;
-        let blind = Session::start(&idx, &ds, concept, MethodConfig::seesaw_blind());
-        // The pseudo-positives already moved the query off q0…
-        let drift = seesaw_linalg::cosine(blind.q0(), blind.current_query());
-        assert!(drift < 0.99999, "blind bootstrap had no effect: {drift}");
-        assert!((seesaw_linalg::l2_norm(blind.current_query()) - 1.0).abs() < 1e-3);
-        // …but only mildly: the CLIP anchor holds.
-        assert!(
-            drift > 0.5,
-            "blind bootstrap overpowered the anchor: {drift}"
-        );
-    }
-
-    #[test]
-    fn blind_method_accepts_user_feedback_too() {
-        let (ds, idx) = setup();
-        let concept = ds.queries()[0].concept;
-        let mut s = Session::start(&idx, &ds, concept, MethodConfig::seesaw_blind());
-        let user = SimulatedUser::new(&ds);
-        for _ in 0..4 {
-            let batch = s.next_batch(1);
-            for img in batch {
-                s.feedback(user.annotate(img, concept));
-            }
-        }
-        assert_eq!(s.n_seen(), 4);
-        assert!((seesaw_linalg::l2_norm(s.current_query()) - 1.0).abs() < 1e-3);
+        // A hostile size is clamped to the unseen remainder, not
+        // allocated up front.
+        let mut s = Session::start(&idx, &ds, concept, MethodConfig::zero_shot());
+        assert_eq!(s.next_batch(usize::MAX).len(), 60);
+        assert!(s.next_batch(usize::MAX).is_empty());
     }
 
     #[test]

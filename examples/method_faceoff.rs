@@ -60,7 +60,6 @@ fn main() {
             Box::new(MethodConfig::seesaw_clip_only),
         ),
         ("SeeSaw (full)", Box::new(MethodConfig::seesaw)),
-        ("SeeSaw (blind boot)", Box::new(MethodConfig::seesaw_blind)),
     ];
     for (name, make) in &methods {
         let aps = run_all(make.as_ref());

@@ -8,14 +8,13 @@ use seesaw::core::protocol::{ErrorCode, MethodSpec, Request, Response};
 use seesaw::dataset::BBox;
 
 fn method_spec(disc: u8, horizon: u32) -> MethodSpec {
-    match disc % 8 {
+    match disc % 7 {
         0 => MethodSpec::ZeroShot,
         1 => MethodSpec::FewShot,
         2 => MethodSpec::Rocchio,
         3 => MethodSpec::Ens { horizon },
         4 => MethodSpec::SeeSaw,
         5 => MethodSpec::SeeSawClipOnly,
-        6 => MethodSpec::SeeSawBlind,
         _ => MethodSpec::SeeSawProp,
     }
 }
