@@ -104,11 +104,6 @@ impl EnsSearcher {
         self.labels.is_empty()
     }
 
-    /// Remaining reward horizon.
-    pub fn remaining_horizon(&self) -> usize {
-        self.remaining
-    }
-
     /// Whether vertex `i` has been labeled.
     pub fn is_labeled(&self, i: u32) -> bool {
         self.labels[i as usize] >= 0
@@ -138,15 +133,9 @@ impl EnsSearcher {
         self.remaining = self.remaining.saturating_sub(1).max(1);
     }
 
-    /// Pick the next vertex by the nonmyopic ENS score; `None` when all
-    /// vertices are labeled.
-    pub fn select_next(&self) -> Option<u32> {
-        self.select_next_excluding(|_| false)
-    }
-
-    /// Like [`Self::select_next`] but also skipping vertices for which
-    /// `exclude` returns true (e.g. batch-pending items not yet
-    /// observed).
+    /// Pick the next vertex by the nonmyopic ENS score, skipping
+    /// vertices for which `exclude` returns true (e.g. batch-pending
+    /// items not yet observed); `None` when all vertices are labeled.
     pub fn select_next_excluding(&self, exclude: impl Fn(u32) -> bool) -> Option<u32> {
         let n = self.labels.len();
         if self.n_unlabeled == 0 || n == 0 {
@@ -331,7 +320,7 @@ mod tests {
     #[test]
     fn horizon_one_is_greedy_on_posterior() {
         let s = searcher(vec![0.2, 0.9, 0.3, 0.4, 0.5], 1);
-        assert_eq!(s.select_next(), Some(1));
+        assert_eq!(s.select_next_excluding(|_| false), Some(1));
     }
 
     #[test]
@@ -339,11 +328,11 @@ mod tests {
         let mut s = searcher(vec![0.9, 0.8, 0.7, 0.1, 0.2], 3);
         s.observe(0, true);
         for _ in 0..4 {
-            let pick = s.select_next().unwrap();
+            let pick = s.select_next_excluding(|_| false).unwrap();
             assert!(!s.is_labeled(pick));
             s.observe(pick, false);
         }
-        assert_eq!(s.select_next(), None);
+        assert_eq!(s.select_next_excluding(|_| false), None);
     }
 
     #[test]
@@ -353,18 +342,18 @@ mod tests {
         // isolated. With a long horizon ENS must prefer the clump; this
         // is the paper's own illustration of ENS's long view.
         let s = searcher(vec![0.0, 0.5, 0.0, 0.0, 0.5], 10);
-        let pick = s.select_next().unwrap();
+        let pick = s.select_next_excluding(|_| false).unwrap();
         assert_eq!(pick, 1, "ENS should pick the clustered candidate");
     }
 
     #[test]
     fn horizon_decrements_until_floor() {
         let mut s = searcher(vec![0.5; 5], 2);
-        assert_eq!(s.remaining_horizon(), 2);
+        assert_eq!(s.remaining, 2);
         s.observe(0, false);
-        assert_eq!(s.remaining_horizon(), 1);
+        assert_eq!(s.remaining, 1);
         s.observe(1, false);
-        assert_eq!(s.remaining_horizon(), 1); // floor at 1
+        assert_eq!(s.remaining, 1); // floor at 1
     }
 
     #[test]

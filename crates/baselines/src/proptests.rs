@@ -88,8 +88,8 @@ proptest! {
             let p = s.posterior(i);
             prop_assert!((0.0..=1.0).contains(&p), "posterior {p}");
         }
-        // select_next (if anything is unlabeled) returns an unlabeled id.
-        if let Some(pick) = s.select_next() {
+        // select_next_excluding (if anything is unlabeled) returns an unlabeled id.
+        if let Some(pick) = s.select_next_excluding(|_| false) {
             prop_assert!(!s.is_labeled(pick));
         }
     }
@@ -114,6 +114,6 @@ proptest! {
             priors,
             &EnsConfig { prior_weight: 1.0, horizon: 1 },
         );
-        prop_assert_eq!(s.select_next(), Some(7));
+        prop_assert_eq!(s.select_next_excluding(|_| false), Some(7));
     }
 }

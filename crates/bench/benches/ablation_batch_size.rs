@@ -5,10 +5,10 @@
 //! query is updated less often per image shown, so accuracy should
 //! degrade gracefully as the batch grows — quantified here.
 
-use seesaw_bench::{bench_seed, mean_ap};
+use seesaw_bench::bench_seed;
 use seesaw_core::{MethodConfig, PreprocessConfig, Preprocessor, Session, SimulatedUser};
 use seesaw_dataset::DatasetSpec;
-use seesaw_metrics::{average_precision, BenchmarkProtocol, SearchTrace, TableBuilder};
+use seesaw_metrics::{average_precision, mean, BenchmarkProtocol, SearchTrace, TableBuilder};
 
 fn main() {
     let scale = 0.01 * seesaw_bench::env_f64("SEESAW_SCALE", 1.0);
@@ -59,7 +59,7 @@ fn main() {
         }
         table.row([
             batch.to_string(),
-            format!("{:.3}", mean_ap(&aps)),
+            format!("{:.3}", mean(&aps)),
             format!("{:.1}", solves as f64 / ds.queries().len() as f64),
         ]);
     }

@@ -5,10 +5,10 @@
 //! report the no-DB-align (λD = 0) reference so the k-invariance claim
 //! is read against the size of the DB-align contribution itself.
 
-use seesaw_bench::{ap_per_query, bench_seed, mean_ap};
+use seesaw_bench::{ap_per_query, bench_seed};
 use seesaw_core::{MethodConfig, PreprocessConfig, Preprocessor};
 use seesaw_dataset::DatasetSpec;
-use seesaw_metrics::{BenchmarkProtocol, TableBuilder};
+use seesaw_metrics::{mean, BenchmarkProtocol, TableBuilder};
 
 fn main() {
     let scale = 0.01 * seesaw_bench::env_f64("SEESAW_SCALE", 1.0);
@@ -37,8 +37,8 @@ fn main() {
         );
         table.row([
             k.to_string(),
-            format!("{:.3}", mean_ap(&full)),
-            format!("{:.3}", mean_ap(&no_db)),
+            format!("{:.3}", mean(&full)),
+            format!("{:.3}", mean(&no_db)),
         ]);
     }
     println!("{table}");

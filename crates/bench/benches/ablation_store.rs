@@ -25,10 +25,10 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use seesaw_bench::{ap_per_query, bench_seed, bench_store_config, mean_ap};
+use seesaw_bench::{ap_per_query, bench_seed, bench_store_config};
 use seesaw_core::{MethodConfig, PreprocessConfig, Preprocessor};
 use seesaw_dataset::DatasetSpec;
-use seesaw_metrics::{BenchmarkProtocol, TableBuilder};
+use seesaw_metrics::{mean, BenchmarkProtocol, TableBuilder};
 use seesaw_vecstore::{
     ExactStore, IvfConfig, IvfStore, RowPrecision, RpForestConfig, StoreConfig, VectorStore,
 };
@@ -127,7 +127,7 @@ fn main() {
             .build(idx.dim, data.clone());
         let idx_b = std::sync::Arc::new(idx_b);
         let aps = ap_per_query(&idx_b, &ds, &|_, _, _| MethodConfig::seesaw(), &proto);
-        backend_ap.num_row(*label, &[mean_ap(&aps)], 3);
+        backend_ap.num_row(*label, &[mean(&aps)], 3);
     }
     println!("{backend_ap}");
 
@@ -156,7 +156,7 @@ fn main() {
         } else {
             search_k.to_string()
         };
-        ap_table.num_row(label, &[mean_ap(&aps)], 3);
+        ap_table.num_row(label, &[mean(&aps)], 3);
     }
     println!("{ap_table}");
 

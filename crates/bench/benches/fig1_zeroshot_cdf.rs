@@ -9,7 +9,7 @@
 
 use seesaw_bench::{ap_per_query, bench_suite, build_indexes, IndexNeeds};
 use seesaw_core::MethodConfig;
-use seesaw_metrics::{cdf_points, fraction_below, BenchmarkProtocol, TableBuilder};
+use seesaw_metrics::{cdf_points, fraction_below, hard_subset, BenchmarkProtocol, TableBuilder};
 
 fn main() {
     let specs = bench_suite();
@@ -46,7 +46,7 @@ fn main() {
             &proto,
         );
         let frac = fraction_below(&aps, 0.5);
-        let n_hard = aps.iter().filter(|&&a| a < 0.5).count();
+        let n_hard = hard_subset(&aps).len();
         let paper_frac = paper
             .iter()
             .find(|(n, _)| *n == b.dataset.name)

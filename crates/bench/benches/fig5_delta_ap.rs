@@ -7,14 +7,12 @@
 //! same"; the min is usually close to 0; regressions trace back to the
 //! multiscale representation occasionally demoting the first result.
 
-use seesaw_bench::{
-    ap_per_query, bench_suite, build_indexes, hard_subset, select_hard, IndexNeeds,
-};
+use seesaw_bench::{ap_per_query, bench_suite, build_indexes, IndexNeeds};
 use seesaw_core::MethodConfig;
-use seesaw_metrics::{quantile, BenchmarkProtocol, TableBuilder};
+use seesaw_metrics::{hard_subset, select_hard, BenchmarkProtocol, DeltaSummary, TableBuilder};
 
 fn delta_row(table: &mut TableBuilder, label: &str, deltas: &[f64]) {
-    if deltas.is_empty() {
+    let Some(s) = DeltaSummary::from_deltas(deltas) else {
         table.row([
             label.to_string(),
             "n/a".into(),
@@ -24,19 +22,18 @@ fn delta_row(table: &mut TableBuilder, label: &str, deltas: &[f64]) {
             "".into(),
         ]);
         return;
-    }
-    let non_regressed = deltas.iter().filter(|&&d| d >= -1e-9).count() as f64 / deltas.len() as f64;
+    };
     table.row([
         label.to_string(),
-        format!("{:.2}", quantile(deltas, 0.0)),
-        format!("{:.2}", quantile(deltas, 0.1)),
-        format!("{:.2}", quantile(deltas, 0.5)),
-        format!("{:.2}", quantile(deltas, 0.9)),
-        format!("{:.2}", quantile(deltas, 1.0)),
+        format!("{:.2}", s.min),
+        format!("{:.2}", s.p10),
+        format!("{:.2}", s.median),
+        format!("{:.2}", s.p90),
+        format!("{:.2}", s.max),
     ]);
     println!(
         "  {label}: {:.0}% of queries improved or unchanged",
-        non_regressed * 100.0
+        s.improved_or_equal * 100.0
     );
 }
 

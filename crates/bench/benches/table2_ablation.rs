@@ -20,11 +20,9 @@
 //!   +DB align            0.44 0.40   0.75 0.24 0.46
 //! ```
 
-use seesaw_bench::{
-    ap_per_query, bench_suite, build_indexes, hard_subset, mean_ap, select_hard, IndexNeeds,
-};
+use seesaw_bench::{ap_per_query, bench_suite, build_indexes, IndexNeeds};
 use seesaw_core::MethodConfig;
-use seesaw_metrics::{BenchmarkProtocol, TableBuilder};
+use seesaw_metrics::{hard_subset, mean, select_hard, BenchmarkProtocol, TableBuilder};
 
 fn main() {
     let specs = bench_suite();
@@ -89,8 +87,8 @@ fn main() {
                 b.coarse.as_ref().unwrap()
             };
             let aps = ap_per_query(idx, &b.dataset, &|_, _, _| method(), &proto);
-            all_vals.push(mean_ap(&aps));
-            hard_vals.push(mean_ap(&select_hard(&aps, hard)));
+            all_vals.push(mean(&aps));
+            hard_vals.push(mean(&select_hard(&aps, hard)));
         }
         let all_avg = all_vals.iter().sum::<f64>() / all_vals.len() as f64;
         let hard_avg = hard_vals.iter().sum::<f64>() / hard_vals.len() as f64;

@@ -19,11 +19,9 @@
 //!   this work       0.30 0.40   0.55 0.07 0.33
 //! ```
 
-use seesaw_bench::{
-    ap_per_query, bench_suite, build_indexes, hard_subset, mean_ap, select_hard, IndexNeeds,
-};
+use seesaw_bench::{ap_per_query, bench_suite, build_indexes, IndexNeeds};
 use seesaw_core::MethodConfig;
-use seesaw_metrics::{BenchmarkProtocol, TableBuilder};
+use seesaw_metrics::{hard_subset, mean, select_hard, BenchmarkProtocol, TableBuilder};
 
 fn main() {
     let specs = bench_suite();
@@ -71,8 +69,8 @@ fn main() {
             eprintln!("[table3] {label} on {}…", b.dataset.name);
             let idx = b.coarse.as_ref().unwrap();
             let aps = ap_per_query(idx, &b.dataset, &|_, _, _| method(), &proto);
-            all_vals.push(mean_ap(&aps));
-            hard_vals.push(mean_ap(&select_hard(&aps, hard)));
+            all_vals.push(mean(&aps));
+            hard_vals.push(mean(&select_hard(&aps, hard)));
         }
         let all_avg = all_vals.iter().sum::<f64>() / all_vals.len() as f64;
         let hard_avg = hard_vals.iter().sum::<f64>() / hard_vals.len() as f64;

@@ -12,9 +12,9 @@
 //!   calibrated γ_i   0.65 0.65 0.65 0.63
 //! ```
 
-use seesaw_bench::{ap_per_query, bench_suite, build_indexes, mean_ap, IndexNeeds};
+use seesaw_bench::{ap_per_query, bench_suite, build_indexes, IndexNeeds};
 use seesaw_core::MethodConfig;
-use seesaw_metrics::{BenchmarkProtocol, TableBuilder};
+use seesaw_metrics::{mean, BenchmarkProtocol, TableBuilder};
 use seesaw_optim::PlattScaler;
 
 fn main() {
@@ -70,7 +70,7 @@ fn main() {
                     },
                     &proto,
                 );
-                per_dataset.push(mean_ap(&aps));
+                per_dataset.push(mean(&aps));
             }
             cells.push(per_dataset.iter().sum::<f64>() / per_dataset.len() as f64);
         }

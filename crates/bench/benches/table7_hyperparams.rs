@@ -12,9 +12,9 @@
 //! peaking at similar values.
 
 use seesaw_aligner::AlignerConfig;
-use seesaw_bench::{ap_per_query, bench_suite, build_indexes, mean_ap, IndexNeeds};
+use seesaw_bench::{ap_per_query, bench_suite, build_indexes, IndexNeeds};
 use seesaw_core::{Method, MethodConfig};
-use seesaw_metrics::{BenchmarkProtocol, TableBuilder};
+use seesaw_metrics::{mean, BenchmarkProtocol, TableBuilder};
 
 fn main() {
     let specs = bench_suite();
@@ -57,7 +57,7 @@ fn main() {
                 &|_, _, _| MethodConfig::zero_shot(),
                 &proto,
             );
-            vals.push(mean_ap(&aps));
+            vals.push(mean(&aps));
         }
         vals.iter().sum::<f64>() / vals.len() as f64
     };
@@ -83,7 +83,7 @@ fn main() {
             );
             per.insert(
                 b.dataset.name.as_str().split('-').next().unwrap_or(""),
-                mean_ap(&aps),
+                mean(&aps),
             );
         }
         let bdd = per.get("bdd").copied().unwrap_or(f64::NAN);

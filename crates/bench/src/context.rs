@@ -93,15 +93,6 @@ impl IndexNeeds {
             ens_graph: true,
         }
     }
-
-    /// Zero-shot only: coarse + multiscale stores, no graph artifacts.
-    pub fn stores_only() -> Self {
-        Self {
-            multiscale: true,
-            coarse: true,
-            ..Self::default()
-        }
-    }
 }
 
 /// A dataset with the indexes a bench target asked for. Indexes come

@@ -1,4 +1,4 @@
-//! Method sweeps over benchmark queries and the hard-subset split.
+//! Method sweeps over benchmark queries.
 
 use seesaw_core::{run_benchmark_query, DatasetIndex, MethodConfig};
 use seesaw_dataset::SyntheticDataset;
@@ -25,37 +25,4 @@ pub fn ap_per_query(
             run_benchmark_query(index, dataset, q.concept, cfg, protocol).ap
         })
         .collect()
-}
-
-/// Mean AP, 0 when empty.
-pub fn mean_ap(aps: &[f64]) -> f64 {
-    seesaw_metrics::mean(aps)
-}
-
-/// Indices of the hard subset: queries whose *zero-shot* AP is below .5
-/// (the Fig. 1 / Table 2 definition).
-pub fn hard_subset(zero_shot_aps: &[f64]) -> Vec<usize> {
-    zero_shot_aps
-        .iter()
-        .enumerate()
-        .filter(|(_, &ap)| ap < 0.5)
-        .map(|(i, _)| i)
-        .collect()
-}
-
-/// Project `aps` onto the hard subset.
-pub fn select_hard(aps: &[f64], hard: &[usize]) -> Vec<f64> {
-    hard.iter().map(|&i| aps[i]).collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn hard_subset_selects_below_half() {
-        let aps = [0.9, 0.2, 0.5, 0.49];
-        assert_eq!(hard_subset(&aps), vec![1, 3]);
-        assert_eq!(select_hard(&[1.0, 2.0, 3.0, 4.0], &[1, 3]), vec![2.0, 4.0]);
-    }
 }

@@ -3,8 +3,8 @@
 //! Every `benches/` target regenerates one table or figure of the paper
 //! (see `DESIGN.md` §3 for the index). This library provides the pieces
 //! they share: dataset construction at a configurable scale, method
-//! sweeps over the benchmark queries, the hard-subset split, and the
-//! §5.5 user-time simulator.
+//! sweeps over the benchmark queries and the §5.5 user-time simulator.
+//! The hard-subset split lives in `seesaw_metrics`.
 //!
 //! ## Environment knobs
 //!
@@ -28,7 +28,7 @@ pub use context::{
     bench_precision, bench_seed, bench_store_config, bench_suite, build_indexes, BuiltDataset,
     IndexNeeds,
 };
-pub use experiments::{ap_per_query, hard_subset, mean_ap, select_hard, MethodFactory};
+pub use experiments::{ap_per_query, MethodFactory};
 pub use usersim::{simulate_task_time, AnnotationModel, UserSimConfig};
 
 /// Read an f64 environment knob with a default.

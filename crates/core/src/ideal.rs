@@ -3,10 +3,10 @@
 //! could achieve, used to show that concept locality is high and most of
 //! the gap is alignment.
 
+use seesaw_aligner::{AlignerConfig, QueryAligner};
 use seesaw_dataset::SyntheticDataset;
 use seesaw_embed::ConceptId;
-use seesaw_linalg::normalized;
-use seesaw_optim::{LogisticConfig, LogisticModel};
+use seesaw_optim::LbfgsConfig;
 
 use crate::index::DatasetIndex;
 
@@ -15,6 +15,10 @@ use crate::index::DatasetIndex;
 /// over-fit from a prediction perspective; but … model fitting is a
 /// simple and efficient search method to find out whether there are any
 /// high-accuracy query vectors."
+///
+/// The fit is the aligner's loss with λc = λD = 0, i.e. the bias-free
+/// L2-regularized logistic regression of Eq. 1. An empty or degenerate
+/// solution falls back to the text query `q₀`.
 pub fn ideal_query_vector(
     index: &DatasetIndex,
     dataset: &SyntheticDataset,
@@ -28,24 +32,22 @@ pub fn ideal_query_vector(
     // Mild regularization only — we *want* the over-fit optimum — and a
     // positive class weight so rare concepts are not drowned out.
     let n_pos = labels.iter().filter(|&&l| l).count().max(1);
-    let pos_weight = ((n - n_pos) as f64 / n_pos as f64).clamp(1.0, 100.0);
-    let config = LogisticConfig {
-        l2: 0.01,
-        fit_bias: false,
-        class_weights: Some((1.0, pos_weight)),
-        ..LogisticConfig::default()
+    let pos_weight = ((n - n_pos) as f64 / n_pos as f64).clamp(1.0, 100.0) as f32;
+    let weights: Vec<f32> = labels
+        .iter()
+        .map(|&l| if l { pos_weight } else { 1.0 })
+        .collect();
+    let config = AlignerConfig {
+        lambda: 0.01,
+        lambda_c: 0.0,
+        lambda_d: 0.0,
+        solver: LbfgsConfig::default(),
     };
-    match LogisticModel::fit(index.dim, &examples, &labels, &config) {
-        Some(model) => {
-            let v = normalized(&model.weights);
-            if v.iter().all(|&x| x == 0.0) {
-                dataset.model.embed_text(concept)
-            } else {
-                v
-            }
-        }
-        None => dataset.model.embed_text(concept),
-    }
+    QueryAligner::new(&dataset.model.embed_text(concept), config).align_weighted(
+        &examples,
+        &labels,
+        Some(&weights),
+    )
 }
 
 #[cfg(test)]

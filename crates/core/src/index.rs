@@ -76,14 +76,6 @@ impl DatasetIndex {
         s..e
     }
 
-    /// Score an image as the max patch score (§4.3: "an image's score is
-    /// computed as the maximum score of any of its patches").
-    pub fn image_score(&self, image: ImageId, query: &[f32]) -> f32 {
-        self.patches_of(image)
-            .map(|p| seesaw_linalg::dot(query, self.patch_vector(p)))
-            .fold(f32::NEG_INFINITY, f32::max)
-    }
-
     /// Inner product of `query` with every coarse (full-image)
     /// embedding, in image order — the `N × d` GEMV behind the ENS
     /// raw-CLIP prior (§5.4) and the zero-shot full-ranking metrics.

@@ -414,21 +414,6 @@ mod tests {
     }
 
     #[test]
-    fn image_score_is_max_over_patches() {
-        let ds = small_dataset();
-        let idx = Preprocessor::new(PreprocessConfig::fast()).build(&ds);
-        let q = idx.patch_vector(3).to_vec();
-        let img = idx.patches[3].image;
-        let direct = idx
-            .patches_of(img)
-            .map(|p| seesaw_linalg::dot(&q, idx.patch_vector(p)))
-            .fold(f32::NEG_INFINITY, f32::max);
-        assert_eq!(idx.image_score(img, &q), direct);
-        // Self-similarity: patch 3 scores 1 against itself.
-        assert!((idx.image_score(img, &q) - 1.0).abs() < 1e-4);
-    }
-
-    #[test]
     fn objectnet_like_is_coarse_even_with_multiscale_on() {
         // 224×224 images produce no fine tiles.
         let ds = DatasetSpec::objectnet_like(0.002).generate(3);

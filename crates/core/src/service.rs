@@ -289,6 +289,7 @@ impl SearchService {
     }
 
     /// Number of live sessions.
+    // xtask-allow: D1 the registry-leak check of tests/service_stress.rs
     pub fn live_sessions(&self) -> usize {
         self.shards.iter().map(|s| s.read().len()).sum()
     }

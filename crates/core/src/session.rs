@@ -362,11 +362,15 @@ impl Session {
     }
 
     /// Next batch of up to `n` unseen images (Listing 1, line 4). Fewer
-    /// are returned when the database is nearly exhausted.
+    /// are returned when the database is nearly exhausted, and none
+    /// when `n = 0`.
     pub fn next_batch(&mut self, n: usize) -> Vec<ImageId> {
         // More than the unseen remainder returns all of it; the clamp
         // bounds the allocation, the ENS loop and the patch request.
         let n = n.min(self.seen.len() - self.n_seen);
+        if n == 0 {
+            return Vec::new();
+        }
         let mut out: Vec<ImageId> = Vec::with_capacity(n);
         match &mut self.state {
             State::Ens(searcher) if self.any_positive => {
@@ -699,7 +703,8 @@ mod tests {
     fn fixed_vector_method_uses_it() {
         let (ds, idx) = setup();
         let concept = ds.queries()[0].concept;
-        let v = ds.model.concept_direction(concept).to_vec();
+        // Another concept's text vector: far from this concept's `q₀`.
+        let v = ds.model.embed_text(ds.queries()[1].concept);
         let s = Session::start(&idx, &ds, concept, MethodConfig::fixed(v.clone()));
         let cos = seesaw_linalg::cosine(s.current_query(), &v);
         assert!(cos > 0.9999);
@@ -754,6 +759,19 @@ mod tests {
         let mut s = Session::start(&idx, &ds, concept, MethodConfig::zero_shot());
         assert_eq!(s.next_batch(usize::MAX).len(), 60);
         assert!(s.next_batch(usize::MAX).is_empty());
+    }
+
+    #[test]
+    fn zero_sized_batch_shows_nothing() {
+        let (ds, idx) = setup();
+        let concept = ds.queries()[0].concept;
+        for cfg in [MethodConfig::zero_shot(), MethodConfig::seesaw()] {
+            let mut s = Session::start(&idx, &ds, concept, cfg);
+            assert!(s.next_batch(0).is_empty());
+            assert_eq!(s.n_seen(), 0);
+            assert_eq!(s.next_batch(5).len(), 5);
+            assert_eq!(s.n_seen(), 5);
+        }
     }
 
     #[test]

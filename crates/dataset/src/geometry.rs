@@ -56,24 +56,6 @@ impl BBox {
     pub fn overlaps(&self, other: &BBox) -> bool {
         self.intersection_area(other) > 0.0
     }
-
-    /// Intersection-over-union in `[0, 1]`.
-    pub fn iou(&self, other: &BBox) -> f32 {
-        let inter = self.intersection_area(other);
-        if inter <= 0.0 {
-            return 0.0;
-        }
-        inter / (self.area() + other.area() - inter)
-    }
-
-    /// Fraction of `self`'s area covered by `other`, in `[0, 1]`.
-    pub fn coverage_by(&self, other: &BBox) -> f32 {
-        let a = self.area();
-        if a <= 0.0 {
-            return 0.0;
-        }
-        (self.intersection_area(other) / a).min(1.0)
-    }
 }
 
 #[cfg(test)]
@@ -104,23 +86,5 @@ mod tests {
         assert!(a.intersect(&b).is_none());
         assert!(!a.overlaps(&b));
         assert!(a.intersect(&c).is_none());
-        assert_eq!(a.iou(&c), 0.0);
-    }
-
-    #[test]
-    fn iou_matches_hand_computation() {
-        let a = BBox::new(0.0, 0.0, 10.0, 10.0);
-        let b = BBox::new(5.0, 0.0, 10.0, 10.0);
-        // intersection 50, union 150.
-        assert!((a.iou(&b) - 1.0 / 3.0).abs() < 1e-6);
-        assert!((a.iou(&a) - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn coverage_fraction() {
-        let tile = BBox::new(0.0, 0.0, 10.0, 10.0);
-        let obj = BBox::new(0.0, 0.0, 5.0, 10.0);
-        assert!((tile.coverage_by(&obj) - 0.5).abs() < 1e-6);
-        assert_eq!(BBox::new(0.0, 0.0, 0.0, 0.0).coverage_by(&obj), 0.0);
     }
 }

@@ -34,12 +34,15 @@ pub struct ImageMeta {
     pub objects: Vec<Annotation>,
 }
 
+#[cfg(test)]
 impl ImageMeta {
     /// Whether any instance of `concept` appears in this image.
     pub fn contains_concept(&self, concept: ConceptId) -> bool {
         self.objects.iter().any(|o| o.concept == concept)
     }
+}
 
+impl ImageMeta {
     /// Ground-truth boxes of `concept` within this image.
     pub fn boxes_of(&self, concept: ConceptId) -> Vec<BBox> {
         self.objects

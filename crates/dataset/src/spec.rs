@@ -256,12 +256,6 @@ impl DatasetSpec {
         self
     }
 
-    /// Override the image count (builder style).
-    pub fn with_images(mut self, n: usize) -> Self {
-        self.n_images = n;
-        self
-    }
-
     /// Override the query cap (builder style).
     pub fn with_max_queries(mut self, n: usize) -> Self {
         self.max_queries = n;

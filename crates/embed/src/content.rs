@@ -41,6 +41,7 @@ pub struct PatchContent {
     pub clutter: f32,
 }
 
+#[cfg(test)]
 impl PatchContent {
     /// A patch showing only background.
     pub fn background(context: u32) -> Self {
@@ -49,12 +50,6 @@ impl PatchContent {
             context,
             clutter: 1.0,
         }
-    }
-
-    /// Total object area share (diagnostics; can exceed 1 when objects
-    /// overlap).
-    pub fn object_share(&self) -> f32 {
-        self.objects.iter().map(|o| o.share).sum()
     }
 }
 
@@ -68,29 +63,5 @@ mod tests {
         assert!(p.objects.is_empty());
         assert_eq!(p.clutter, 1.0);
         assert_eq!(p.context, 3);
-        assert_eq!(p.object_share(), 0.0);
-    }
-
-    #[test]
-    fn object_share_sums() {
-        let p = PatchContent {
-            objects: vec![
-                ObjectPresence {
-                    concept: 0,
-                    mode: 0,
-                    instance: 0,
-                    share: 0.25,
-                },
-                ObjectPresence {
-                    concept: 1,
-                    mode: 0,
-                    instance: 0,
-                    share: 0.5,
-                },
-            ],
-            context: 0,
-            clutter: 0.25,
-        };
-        assert!((p.object_share() - 0.75).abs() < 1e-6);
     }
 }

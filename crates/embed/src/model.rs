@@ -61,22 +61,6 @@ pub struct EmbedConfig {
     pub seed: u64,
 }
 
-impl EmbedConfig {
-    /// A small, easy configuration for unit tests.
-    pub fn test_config(n_concepts: usize) -> Self {
-        Self {
-            dim: 32,
-            concepts: vec![ConceptSpec::default(); n_concepts],
-            contexts: 4,
-            noise_sigma: 0.1,
-            instance_jitter: 0.0,
-            clutter_strength: 1.0,
-            salience: 0.5,
-            seed: 42,
-        }
-    }
-}
-
 /// The deterministic synthetic visual-semantic embedding model.
 ///
 /// See the crate docs for the generative story. All outputs are unit
@@ -215,14 +199,6 @@ impl EmbeddingModel {
         self.confusers[concept as usize]
     }
 
-    /// Latent (ideal) direction of a concept — what Fig. 4 calls the
-    /// neighbourhood of the *ideal query vector*. Not available to search
-    /// methods; exposed for experiments and tests.
-    #[inline]
-    pub fn concept_direction(&self, concept: ConceptId) -> &[f32] {
-        self.concept_dirs.row(concept as usize)
-    }
-
     /// Direction of a specific locality mode.
     #[inline]
     pub fn mode_direction(&self, concept: ConceptId, mode: u32) -> &[f32] {
@@ -296,6 +272,16 @@ impl EmbeddingModel {
                 .to_vec();
         }
         acc
+    }
+}
+
+#[cfg(test)]
+impl EmbeddingModel {
+    /// Latent (ideal) direction of a concept — what Fig. 4 calls the
+    /// neighbourhood of the *ideal query vector*. Not available to search
+    /// methods.
+    pub fn concept_direction(&self, concept: ConceptId) -> &[f32] {
+        self.concept_dirs.row(concept as usize)
     }
 }
 

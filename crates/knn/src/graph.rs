@@ -146,7 +146,10 @@ impl KnnGraph {
             p90_distance: pick(0.9),
         }
     }
+}
 
+#[cfg(test)]
+impl KnnGraph {
     /// Fraction of `(node, neighbour)` edges of `truth` that `self`
     /// also contains — the standard NN-descent quality metric.
     pub fn edge_recall_against(&self, truth: &KnnGraph) -> f64 {

@@ -39,14 +39,6 @@ impl SigmaRule {
                 .collect(),
         }
     }
-
-    /// Resolve to a single global σ when the rule is global; the median
-    /// of per-node bandwidths otherwise (diagnostics).
-    pub fn resolve(&self, graph: &KnnGraph) -> f32 {
-        let mut sigmas = self.node_sigmas(graph);
-        sigmas.sort_unstable_by(|a, b| a.total_cmp(b));
-        sigmas.get(sigmas.len() / 2).copied().unwrap_or(1e-6)
-    }
 }
 
 /// Build the symmetrized weighted adjacency `W` of the kNN graph with
@@ -183,11 +175,15 @@ mod tests {
     #[test]
     fn sigma_rules_resolve() {
         let g = line_graph();
-        assert_eq!(SigmaRule::Fixed(0.05).resolve(&g), 0.05);
-        let adaptive = SigmaRule::MedianScale(2.0).resolve(&g);
-        assert!(adaptive > 0.0);
-        let tuned = SigmaRule::SelfTuning(1.0).resolve(&g);
-        assert!(tuned > 0.0);
+        assert!(SigmaRule::Fixed(0.05)
+            .node_sigmas(&g)
+            .iter()
+            .all(|&s| s == 0.05));
+        for rule in [SigmaRule::MedianScale(2.0), SigmaRule::SelfTuning(1.0)] {
+            let sigmas = rule.node_sigmas(&g);
+            assert_eq!(sigmas.len(), g.len());
+            assert!(sigmas.iter().all(|&s| s > 0.0), "{rule:?}");
+        }
     }
 
     #[test]

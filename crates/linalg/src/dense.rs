@@ -108,44 +108,13 @@ impl DenseMatrix {
         y
     }
 
-    /// `y = Aᵀ·x` (length `cols`).
-    pub fn transpose_matvec(&self, x: &[f32]) -> Vec<f32> {
-        assert_eq!(x.len(), self.rows);
-        let mut y = vec![0.0f32; self.cols];
-        for (i, &s) in x.iter().enumerate() {
-            if s == 0.0 {
-                continue;
-            }
-            let row = self.row(i);
-            for (yj, rj) in y.iter_mut().zip(row.iter()) {
-                *yj += s * rj;
-            }
-        }
-        y
-    }
-
     /// Quadratic form `xᵀ A x` for a square matrix.
+    // xtask-allow: D1 the aligner and knn suites check wᵀMw with it
     pub fn quadratic_form(&self, x: &[f32]) -> f32 {
         assert_eq!(self.rows, self.cols, "quadratic form needs a square matrix");
         assert_eq!(x.len(), self.cols);
         let ax = self.matvec(x);
         dot(&ax, x)
-    }
-
-    /// `self ← self + s · (a ⊗ b)` (rank-one update).
-    pub fn add_outer(&mut self, s: f32, a: &[f32], b: &[f32]) {
-        assert_eq!(a.len(), self.rows);
-        assert_eq!(b.len(), self.cols);
-        for (i, &ai) in a.iter().enumerate() {
-            let f = s * ai;
-            if f == 0.0 {
-                continue;
-            }
-            let row = self.row_mut(i);
-            for (rj, bj) in row.iter_mut().zip(b.iter()) {
-                *rj += f * bj;
-            }
-        }
     }
 
     /// Scale every entry by `s`.
@@ -157,6 +126,7 @@ impl DenseMatrix {
 
     /// Maximum absolute asymmetry `max |A_ij − A_ji|` (diagnostics for
     /// `M_D`, which must be symmetric).
+    // xtask-allow: D1 the aligner suite checks that M_D is symmetric
     pub fn max_asymmetry(&self) -> f32 {
         assert_eq!(self.rows, self.cols);
         let mut worst = 0.0f32;
@@ -205,23 +175,9 @@ mod tests {
     }
 
     #[test]
-    fn transpose_matvec_matches_hand_computation() {
-        let m = sample();
-        assert_eq!(m.transpose_matvec(&[1.0, 1.0]), vec![5.0, 7.0, 9.0]);
-    }
-
-    #[test]
     fn quadratic_form_square() {
         let m = DenseMatrix::from_vec(2, 2, vec![2.0, 0.0, 0.0, 3.0]);
         assert_eq!(m.quadratic_form(&[1.0, 2.0]), 2.0 + 12.0);
-    }
-
-    #[test]
-    fn outer_product_accumulates() {
-        let mut m = DenseMatrix::zeros(2, 2);
-        m.add_outer(2.0, &[1.0, 0.5], &[3.0, 4.0]);
-        assert_eq!(m.get(0, 0), 6.0);
-        assert_eq!(m.get(1, 1), 4.0);
     }
 
     #[test]

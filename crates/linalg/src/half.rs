@@ -115,18 +115,6 @@ pub fn encode_f16(src: &[f32]) -> Vec<u16> {
     src.iter().map(|&v| f16_from_f32(v)).collect()
 }
 
-/// Decode f16 bit patterns into an `f32` buffer ([`f32_from_f16`] per
-/// element).
-///
-/// # Panics
-/// Panics when the slices have different lengths.
-pub fn decode_f16_into(src: &[u16], dst: &mut [f32]) {
-    assert_eq!(src.len(), dst.len(), "decode length mismatch");
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d = f32_from_f16(s);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,8 +216,7 @@ mod tests {
     fn slice_encode_decode_round_trip() {
         let src = [0.0f32, -0.0, 1.5, -65504.0, 1e-5, f32::INFINITY];
         let enc = encode_f16(&src);
-        let mut dec = vec![0.0f32; src.len()];
-        decode_f16_into(&enc, &mut dec);
+        let dec: Vec<f32> = enc.iter().map(|&h| f32_from_f16(h)).collect();
         for (d, &s) in dec.iter().zip(&src) {
             let again = f32_from_f16(f16_from_f32(s));
             assert_eq!(d.to_bits(), again.to_bits());

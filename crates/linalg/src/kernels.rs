@@ -54,9 +54,9 @@
 //!   mismatch (`a.len() != b.len()`, a buffer that is not a multiple
 //!   of `dim`, an `out` slice of the wrong length): the unrolled
 //!   remainder handling would silently pair misaligned tails
-//!   otherwise. This includes the element-wise kernels [`axpy`] and
-//!   [`scale_add`], whose historical debug-only check let release
-//!   builds silently truncate to the common prefix.
+//!   otherwise. This includes the element-wise kernel [`axpy`], whose
+//!   historical debug-only check let release builds silently truncate
+//!   to the common prefix.
 //! * **Degenerate rows.** [`normalize_rows`] **zero-fills** rows whose
 //!   norm is at or below `f32::EPSILON` (no meaningful direction;
 //!   dividing by a denormal norm would overflow to ±∞), matching
@@ -185,23 +185,6 @@ pub fn axpy(y: &mut [f32], a: f32, x: &[f32]) {
     assert_eq!(y.len(), x.len(), "axpy length mismatch");
     for (yi, xi) in y.iter_mut().zip(x.iter()) {
         *yi += a * xi;
-    }
-}
-
-/// Fused `y ← β·y + α·x` in a single pass — one load/store of `y`
-/// instead of the two that separate `scale` + `axpy` calls would do.
-/// Each element computes `(β·yᵢ) + (α·xᵢ)`, bit-identical to the
-/// unfused pair.
-///
-/// # Panics
-/// Panics if the slices have different lengths — in every build. (The
-/// historical debug-only assert let release builds silently truncate
-/// to the common prefix on mismatched calls.)
-#[inline]
-pub fn scale_add(y: &mut [f32], beta: f32, alpha: f32, x: &[f32]) {
-    assert_eq!(y.len(), x.len(), "scale_add length mismatch");
-    for (yi, xi) in y.iter_mut().zip(x.iter()) {
-        *yi = beta * *yi + alpha * xi;
     }
 }
 
@@ -668,30 +651,10 @@ mod tests {
     }
 
     #[test]
-    fn scale_add_matches_unfused_pair_bitwise() {
-        let mut fused = random_rows(1, 100, 5);
-        let x = random_rows(1, 100, 6);
-        let mut unfused = fused.clone();
-        scale_add(&mut fused, 0.3, -1.7, &x);
-        crate::vector::scale(&mut unfused, 0.3);
-        axpy(&mut unfused, -1.7, &x);
-        for (f, u) in fused.iter().zip(&unfused) {
-            assert_eq!(f.to_bits(), u.to_bits());
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "axpy length mismatch")]
     fn axpy_panics_on_length_mismatch_in_all_builds() {
         let mut y = vec![0.0f32; 4];
         axpy(&mut y, 1.0, &[1.0f32; 5]);
-    }
-
-    #[test]
-    #[should_panic(expected = "scale_add length mismatch")]
-    fn scale_add_panics_on_length_mismatch_in_all_builds() {
-        let mut y = vec![0.0f32; 6];
-        scale_add(&mut y, 1.0, 1.0, &[1.0f32; 2]);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!
 //! The scoring hot path funnels through the [`kernels`] module: a
 //! multi-accumulator [`dot`] (the single scoring primitive of the
-//! workspace, with a fixed, documented accumulation order), fused
-//! [`axpy`]/[`scale_add`], a row-scan [`gemv1_into`] that scores every
+//! workspace, with a fixed, documented accumulation order),
+//! [`axpy`], a row-scan [`gemv1_into`] that scores every
 //! row of a matrix against one query, and a blocked
 //! [`normalize_rows`]. Each kernel executes on a
 //! runtime-detected SIMD tier — explicit AVX2 (+F16C) on x86_64, NEON
@@ -39,15 +39,14 @@ pub mod sparse;
 pub mod vector;
 
 pub use dense::DenseMatrix;
-pub use half::{decode_f16_into, encode_f16, f16_from_f32, f32_from_f16};
+pub use half::{encode_f16, f16_from_f32, f32_from_f16};
 pub use kernels::{
     axpy, dot, dot_f16, dot_pq, dot_scalar, dot_sq8, gemv1_f16_into, gemv1_into, gemv1_sq8_into,
-    normalize_rows, pq_lut_into, scale_add, scan_pq_into, PQ_LUT_STRIDE,
+    normalize_rows, pq_lut_into, scan_pq_into, PQ_LUT_STRIDE,
 };
 pub use simd::{active_tier, available_tiers, detect_tier, force_tier, tier_supported, Tier};
 pub use sparse::{CsrMatrix, Triplet};
 pub use vector::{
-    add_scaled, cosine, l2_norm, l2_norm_sq, mean_vector, normalize, normalized,
-    orthonormal_component, random_unit_vector, rotate_toward, scale, squared_euclidean,
-    standard_normal,
+    add_scaled, cosine, l2_norm, l2_norm_sq, normalize, normalized, orthonormal_component,
+    random_unit_vector, rotate_toward, scale, squared_euclidean, standard_normal,
 };

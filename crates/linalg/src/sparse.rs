@@ -142,6 +142,7 @@ impl CsrMatrix {
     }
 
     /// Maximum absolute asymmetry of a square sparse matrix (diagnostic).
+    // xtask-allow: D1 the knn suites check that W is symmetric
     pub fn max_asymmetry(&self) -> f32 {
         assert_eq!(self.rows, self.cols);
         let mut worst = 0.0f32;
@@ -165,6 +166,7 @@ impl CsrMatrix {
     }
 
     /// Dense `rows × cols` copy (tests and tiny matrices only).
+    // xtask-allow: D1 the knn suites compare the Laplacian densely
     pub fn to_dense(&self) -> DenseMatrix {
         let mut m = DenseMatrix::zeros(self.rows, self.cols);
         for r in 0..self.rows {

@@ -88,17 +88,6 @@ pub fn scale(a: &mut [f32], s: f32) {
     }
 }
 
-/// Arithmetic mean of a set of equal-length vectors; `None` when empty.
-pub fn mean_vector(rows: &[&[f32]]) -> Option<Vec<f32>> {
-    let first = rows.first()?;
-    let mut acc = vec![0.0f32; first.len()];
-    for row in rows {
-        add_scaled(&mut acc, 1.0, row);
-    }
-    scale(&mut acc, 1.0 / rows.len() as f32);
-    Some(acc)
-}
-
 /// Component of `v` orthogonal to the unit vector `axis`
 /// (`v − (v·axis)·axis`). Used to build controlled rotations.
 pub fn orthonormal_component(v: &[f32], axis: &[f32]) -> Vec<f32> {
@@ -146,6 +135,10 @@ pub fn random_unit_vector<R: Rng + ?Sized>(rng: &mut R, dim: usize) -> Vec<f32> 
 }
 
 /// One standard-normal sample via the Marsaglia polar method.
+// Inline into each caller: preprocessing draws one sample per embedding
+// coordinate, and without the hint whether this call inlines depends on
+// how the calling crate happens to be split into codegen units.
+#[inline]
 pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f32 {
     loop {
         let u: f32 = rng.gen_range(-1.0f32..1.0);
@@ -231,15 +224,6 @@ mod tests {
         let b = random_unit_vector(&mut rng_b, 64);
         assert_eq!(a, b);
         assert!((l2_norm(&a) - 1.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn mean_vector_averages_rows() {
-        let a = [1.0f32, 3.0];
-        let b = [3.0f32, 5.0];
-        let m = mean_vector(&[&a, &b]).unwrap();
-        assert_eq!(m, vec![2.0, 4.0]);
-        assert!(mean_vector(&[]).is_none());
     }
 
     #[test]

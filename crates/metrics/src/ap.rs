@@ -48,12 +48,6 @@ impl SearchTrace {
     pub fn found(&self) -> usize {
         self.relevance.iter().filter(|&&r| r).count()
     }
-
-    /// Index (1-based count) of images inspected up to and including the
-    /// first relevant one; `None` when none was found.
-    pub fn images_to_first(&self) -> Option<usize> {
-        self.relevance.iter().position(|&r| r).map(|p| p + 1)
-    }
 }
 
 /// Classic (untruncated) ranking Average Precision: the mean of the
@@ -219,7 +213,5 @@ mod tests {
         let t = SearchTrace::new(vec![false, true, true]);
         assert_eq!(t.shown(), 3);
         assert_eq!(t.found(), 2);
-        assert_eq!(t.images_to_first(), Some(2));
-        assert_eq!(SearchTrace::default().images_to_first(), None);
     }
 }

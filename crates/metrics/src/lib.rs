@@ -8,7 +8,8 @@
 //! zero precision.
 //!
 //! The crate also provides ΔAP summaries (Fig. 5), empirical CDFs
-//! (Fig. 1), quantiles, and bootstrap confidence intervals (Fig. 6).
+//! (Fig. 1), the hard-query subset (zero-shot AP < .5; Fig. 1, Table 2),
+//! quantiles, and bootstrap confidence intervals (Fig. 6).
 
 pub mod ap;
 #[cfg(test)]
@@ -18,8 +19,8 @@ pub mod stats;
 pub mod table;
 
 pub use ap::{average_precision, ranking_average_precision, BenchmarkProtocol, SearchTrace};
-pub use retrieval::{
-    images_to_nth, precision_at_k, recall_at_cutoff, reciprocal_rank, DeltaSummary,
+pub use retrieval::DeltaSummary;
+pub use stats::{
+    bootstrap_mean_ci, cdf_points, fraction_below, hard_subset, mean, median, quantile, select_hard,
 };
-pub use stats::{bootstrap_mean_ci, cdf_points, fraction_below, mean, median, quantile};
 pub use table::TableBuilder;

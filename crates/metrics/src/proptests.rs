@@ -3,7 +3,6 @@
 #![cfg(test)]
 
 use crate::ap::{average_precision, ranking_average_precision, BenchmarkProtocol, SearchTrace};
-use crate::retrieval::{images_to_nth, precision_at_k, recall_at_cutoff};
 use crate::stats::{fraction_below, mean, quantile};
 use proptest::prelude::*;
 
@@ -35,36 +34,6 @@ proptest! {
         let bench = average_precision(&SearchTrace::new(rel.clone()), n_pos, &proto);
         let rank = ranking_average_precision(&rel);
         prop_assert!((bench - rank).abs() < 1e-9, "{bench} vs {rank}");
-    }
-
-    #[test]
-    fn precision_recall_consistency(
-        rel in proptest::collection::vec(any::<bool>(), 1..50),
-        k in 1usize..50,
-    ) {
-        let trace = SearchTrace::new(rel.clone());
-        let total = rel.iter().filter(|&&r| r).count();
-        let p = precision_at_k(&trace, k);
-        let r = recall_at_cutoff(&trace, k, total);
-        prop_assert!((0.0..=1.0).contains(&p));
-        prop_assert!((0.0..=1.0).contains(&r));
-        // found = p·min(k, len) = r·total.
-        let found_p = p * k.min(rel.len()) as f64;
-        let found_r = r * total as f64;
-        prop_assert!((found_p - found_r).abs() < 1e-9);
-    }
-
-    #[test]
-    fn images_to_nth_is_monotone(rel in proptest::collection::vec(any::<bool>(), 0..40)) {
-        let trace = SearchTrace::new(rel);
-        let mut prev = 0usize;
-        for n in 1..=trace.found() {
-            let at = images_to_nth(&trace, n).unwrap();
-            prop_assert!(at > prev || (n == 1 && at >= 1));
-            prop_assert!(at >= n);
-            prev = at;
-        }
-        prop_assert!(images_to_nth(&trace, trace.found() + 1).is_none());
     }
 
     #[test]

@@ -1,55 +1,4 @@
-//! Additional retrieval metrics used by the examples, ablations, and
-//! diagnostics: precision/recall at a cutoff, reciprocal rank, and the
-//! "images inspected until the first hit" statistic behind the paper's
-//! §1 motivation ("using CLIP alone requires looking through more than
-//! 100 images before the first wheelchair is found").
-
-use crate::ap::SearchTrace;
-
-/// Precision of the first `k` results (0 when `k = 0`).
-pub fn precision_at_k(trace: &SearchTrace, k: usize) -> f64 {
-    if k == 0 {
-        return 0.0;
-    }
-    let upto = trace.relevance.iter().take(k);
-    let found = upto.clone().filter(|&&r| r).count();
-    found as f64 / k.min(trace.relevance.len()).max(1) as f64
-}
-
-/// Recall of the first `k` results against `total_relevant`.
-pub fn recall_at_cutoff(trace: &SearchTrace, k: usize, total_relevant: usize) -> f64 {
-    if total_relevant == 0 {
-        return 0.0;
-    }
-    let found = trace.relevance.iter().take(k).filter(|&&r| r).count();
-    found as f64 / total_relevant as f64
-}
-
-/// Reciprocal rank of the first relevant result (0 when none found).
-pub fn reciprocal_rank(trace: &SearchTrace) -> f64 {
-    trace
-        .images_to_first()
-        .map(|r| 1.0 / r as f64)
-        .unwrap_or(0.0)
-}
-
-/// Number of images inspected until `n` relevant results were found;
-/// `None` when the trace ends first.
-pub fn images_to_nth(trace: &SearchTrace, n: usize) -> Option<usize> {
-    if n == 0 {
-        return Some(0);
-    }
-    let mut found = 0usize;
-    for (i, &rel) in trace.relevance.iter().enumerate() {
-        if rel {
-            found += 1;
-            if found == n {
-                return Some(i + 1);
-            }
-        }
-    }
-    None
-}
+//! Per-query ΔAP summaries: the numbers behind the Fig. 5 panels.
 
 /// Summary of a ΔAP population (the Fig. 5 panels in numbers).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -90,45 +39,6 @@ impl DeltaSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn trace(bits: &[u8]) -> SearchTrace {
-        SearchTrace::new(bits.iter().map(|&b| b == 1).collect())
-    }
-
-    #[test]
-    fn precision_at_k_hand_cases() {
-        let t = trace(&[1, 0, 1, 0]);
-        assert_eq!(precision_at_k(&t, 1), 1.0);
-        assert_eq!(precision_at_k(&t, 2), 0.5);
-        assert_eq!(precision_at_k(&t, 4), 0.5);
-        assert_eq!(precision_at_k(&t, 0), 0.0);
-        // k beyond the trace: denominator is the trace length.
-        assert_eq!(precision_at_k(&t, 10), 0.5);
-    }
-
-    #[test]
-    fn recall_at_cutoff_hand_cases() {
-        let t = trace(&[1, 0, 1, 0]);
-        assert_eq!(recall_at_cutoff(&t, 1, 4), 0.25);
-        assert_eq!(recall_at_cutoff(&t, 4, 4), 0.5);
-        assert_eq!(recall_at_cutoff(&t, 4, 0), 0.0);
-    }
-
-    #[test]
-    fn reciprocal_rank_cases() {
-        assert_eq!(reciprocal_rank(&trace(&[0, 0, 1])), 1.0 / 3.0);
-        assert_eq!(reciprocal_rank(&trace(&[1])), 1.0);
-        assert_eq!(reciprocal_rank(&trace(&[0, 0])), 0.0);
-    }
-
-    #[test]
-    fn images_to_nth_cases() {
-        let t = trace(&[0, 1, 0, 1, 1]);
-        assert_eq!(images_to_nth(&t, 0), Some(0));
-        assert_eq!(images_to_nth(&t, 1), Some(2));
-        assert_eq!(images_to_nth(&t, 3), Some(5));
-        assert_eq!(images_to_nth(&t, 4), None);
-    }
 
     #[test]
     fn delta_summary_statistics() {

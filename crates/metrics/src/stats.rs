@@ -45,6 +45,22 @@ pub fn fraction_below(values: &[f64], threshold: f64) -> f64 {
     values.iter().filter(|&&v| v < threshold).count() as f64 / values.len() as f64
 }
 
+/// Indices of the hard subset: queries whose *zero-shot* AP is below .5
+/// (the Fig. 1 / Table 2 definition).
+pub fn hard_subset(zero_shot_aps: &[f64]) -> Vec<usize> {
+    zero_shot_aps
+        .iter()
+        .enumerate()
+        .filter(|(_, &ap)| ap < 0.5)
+        .map(|(i, _)| i)
+        .collect()
+}
+
+/// Project `aps` onto the hard subset.
+pub fn select_hard(aps: &[f64], hard: &[usize]) -> Vec<f64> {
+    hard.iter().map(|&i| aps[i]).collect()
+}
+
 /// Empirical CDF sampled at `n_points` evenly spaced x positions between
 /// `lo` and `hi`; returns `(x, F(x))` pairs.
 pub fn cdf_points(values: &[f64], lo: f64, hi: f64, n_points: usize) -> Vec<(f64, f64)> {
@@ -117,6 +133,13 @@ mod tests {
         // Strictly below .5 → 2 of 5.
         assert_eq!(fraction_below(&aps, 0.5), 0.4);
         assert_eq!(fraction_below(&[], 0.5), 0.0);
+    }
+
+    #[test]
+    fn hard_subset_selects_below_half() {
+        let aps = [0.9, 0.2, 0.5, 0.49];
+        assert_eq!(hard_subset(&aps), vec![1, 3]);
+        assert_eq!(select_hard(&[1.0, 2.0, 3.0, 4.0], &[1, 3]), vec![2.0, 4.0]);
     }
 
     #[test]

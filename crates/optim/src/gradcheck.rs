@@ -1,14 +1,15 @@
 //! Finite-difference gradient verification.
 //!
-//! Every hand-derived gradient in this workspace (logistic, Platt, and —
-//! most importantly — the four-term aligner loss of §4.4) is validated
-//! against central differences in its test suite using this helper.
+//! The hand-derived gradient of the four-term aligner loss of §4.4 is
+//! validated against central differences in its test suites using this
+//! helper.
 
 use crate::lbfgs::Objective;
 
 /// Maximum absolute difference between the analytic gradient of `f` at
 /// `x` and a central finite-difference estimate with step `h`,
 /// normalized by `max(1, |analytic|)` per coordinate.
+// xtask-allow: D1 the aligner's gradient checks use it across the crate boundary
 pub fn max_gradient_error<O: Objective>(f: &O, x: &[f64], h: f64) -> f64 {
     let n = x.len();
     let mut analytic = vec![0.0f64; n];

@@ -6,25 +6,25 @@
 //! (§4.4). This crate provides that black box from scratch:
 //!
 //! * [`lbfgs`] — limited-memory BFGS with a strong-Wolfe line search,
-//! * [`logistic`] — L2-regularized logistic regression (the *few-shot
-//!   CLIP* baseline of §3.2 and the *ideal query vector* of Fig. 4),
 //! * [`platt`] — Platt scaling, used to calibrate ENS priors in Table 4,
 //! * [`gradcheck`] — finite-difference gradient verification used by the
 //!   test suites of every loss in the workspace.
+//!
+//! There is no logistic-regression solver here: the few-shot CLIP
+//! baseline (§3.2, Eq. 1) and the *ideal query vector* of Fig. 4 are
+//! SeeSaw's aligner loss with λc = λD = 0, solved by `seesaw_aligner`.
 //!
 //! Solvers run in `f64` for numerical robustness; the embedding data they
 //! consume stays `f32`.
 
 pub mod gradcheck;
 pub mod lbfgs;
-pub mod logistic;
 pub mod platt;
 #[cfg(test)]
 mod proptests;
 
 pub use gradcheck::max_gradient_error;
 pub use lbfgs::{Lbfgs, LbfgsConfig, LbfgsOutcome, Objective};
-pub use logistic::{LogisticConfig, LogisticModel};
 pub use platt::PlattScaler;
 
 /// Numerically stable sigmoid.

@@ -3,7 +3,6 @@
 #![cfg(test)]
 
 use crate::lbfgs::{Lbfgs, LbfgsConfig};
-use crate::logistic::{LogisticConfig, LogisticModel};
 use crate::platt::PlattScaler;
 use proptest::prelude::*;
 
@@ -55,33 +54,6 @@ proptest! {
         let mut x = seed_coords.clone();
         let out = Lbfgs::default().minimize(&f, &mut x);
         prop_assert!(out.value <= start_val + 1e-9, "{} > {start_val}", out.value);
-    }
-
-    #[test]
-    fn logistic_score_sign_matches_majority_on_pure_data(
-        direction in proptest::collection::vec(-1.0f32..1.0, 3),
-        n in 4usize..20,
-    ) {
-        // All positives at +d, all negatives at −d: the learned score of
-        // +d must be positive.
-        let norm: f32 = direction.iter().map(|v| v * v).sum::<f32>().sqrt();
-        prop_assume!(norm > 0.1);
-        let pos: Vec<f32> = direction.clone();
-        let neg: Vec<f32> = direction.iter().map(|v| -v).collect();
-        let mut xs: Vec<&[f32]> = Vec::new();
-        let mut ys = Vec::new();
-        for i in 0..n {
-            if i % 2 == 0 {
-                xs.push(&pos);
-                ys.push(true);
-            } else {
-                xs.push(&neg);
-                ys.push(false);
-            }
-        }
-        let model = LogisticModel::fit(3, &xs, &ys, &LogisticConfig { l2: 0.1, ..Default::default() }).unwrap();
-        prop_assert!(model.score(&pos) > 0.0);
-        prop_assert!(model.score(&neg) < 0.0);
     }
 
     #[test]

@@ -91,12 +91,14 @@ impl ServerConfig {
     }
 
     /// Set the idle read timeout.
+    // xtask-allow: D1 deployment setting; the server suites set it
     pub fn with_read_timeout(mut self, timeout: Duration) -> Self {
         self.read_timeout = timeout;
         self
     }
 
     /// Set the write-progress (stalled client) timeout.
+    // xtask-allow: D1 deployment setting; the server suites set it
     pub fn with_write_timeout(mut self, timeout: Duration) -> Self {
         self.write_timeout = timeout;
         self

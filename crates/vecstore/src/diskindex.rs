@@ -573,6 +573,7 @@ impl IndexFile {
 
     /// Map and parse `path`, checksum-verifying **every** section
     /// (reads all payload bytes — O(file size)).
+    // xtask-allow: D1 the only full-checksum open, for offline checks
     pub fn open_verified(path: &Path) -> Result<Self, DiskIndexError> {
         Self::open_inner(path, true)
     }
@@ -584,6 +585,7 @@ impl IndexFile {
     }
 
     /// Parse an in-memory image (tests; network-received blobs).
+    // xtask-allow: D1 the corrupt-container suite drives the parser with it
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, DiskIndexError> {
         let map = Arc::new(Mmap::from_vec(bytes));
         let len = map.bytes().len();

@@ -256,19 +256,6 @@ impl IvfStore {
         self.lists.len()
     }
 
-    /// Top-`k` scanning exactly `n_probe` lists (clamped to the list
-    /// count) — the explicit recall knob. Always probes enough extra
-    /// lists to gather at least `k` candidates when possible.
-    pub fn top_k_with_n_probe(
-        &self,
-        query: &[f32],
-        k: usize,
-        n_probe: usize,
-        keep: &KeepFn,
-    ) -> Vec<Hit> {
-        self.query_probed(query, k, n_probe.max(1), 0, keep)
-    }
-
     /// Lists in descending centroid-score order for `query`.
     fn probe_order(&self, query: &[f32]) -> Vec<usize> {
         let mut order: Vec<(usize, f32)> = (0..self.lists.len())
@@ -382,7 +369,7 @@ mod tests {
         for _ in 0..5 {
             let q = random_unit_vector(&mut rng, dim);
             let truth = exact.top_k(&q, 9);
-            let got = ivf.top_k_with_n_probe(&q, 9, ivf.n_lists(), &|_| true);
+            let got = ivf.query_probed(&q, 9, ivf.n_lists(), 0, &|_| true);
             assert_eq!(truth.len(), got.len());
             for (t, g) in truth.iter().zip(&got) {
                 assert_eq!(t.id, g.id);
@@ -405,7 +392,7 @@ mod tests {
             let mut total = 0usize;
             for q in &queries {
                 let truth = exact.top_k(q, 10);
-                let got = ivf.top_k_with_n_probe(q, 10, n_probe, &|_| true);
+                let got = ivf.query_probed(q, 10, n_probe, 0, &|_| true);
                 total += truth.len();
                 found += truth
                     .iter()

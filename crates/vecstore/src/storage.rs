@@ -65,8 +65,8 @@
 use crate::diskindex::MappedSlice;
 use crate::{Hit, TopKSelector};
 use seesaw_linalg::{
-    dot, dot_f16, dot_pq, dot_sq8, encode_f16, f32_from_f16, gemv1_f16_into, gemv1_into,
-    gemv1_sq8_into, pq_lut_into, scan_pq_into, squared_euclidean, PQ_LUT_STRIDE,
+    dot, dot_f16, dot_pq, dot_sq8, encode_f16, gemv1_f16_into, gemv1_into, gemv1_sq8_into,
+    pq_lut_into, scan_pq_into, squared_euclidean, PQ_LUT_STRIDE,
 };
 use std::ops::{Deref, Range};
 
@@ -213,20 +213,6 @@ impl RowPrecision {
             return None;
         }
         Some(RowPrecision::Pq { m, nbits })
-    }
-
-    /// Bytes one element moves on the scan hot path. For SQ8 this is
-    /// the code byte; the 8 B/row parameter pair and the f32 source
-    /// rows (touched only for the rerank pool) are excluded. PQ moves
-    /// `m` bytes per *row* — less than one byte per element whenever
-    /// `m < dim` — so this nominal per-element ceiling is 1; use
-    /// [`RowStorage::scan_bytes`] for the true footprint.
-    pub fn bytes_per_element(self) -> usize {
-        match self {
-            RowPrecision::F32 => 4,
-            RowPrecision::F16 => 2,
-            RowPrecision::Sq8 | RowPrecision::Pq { .. } => 1,
-        }
     }
 
     /// Whether this tier scans lossy codes and re-ranks the candidate
@@ -736,6 +722,22 @@ impl RowStorage {
         sel.into_sorted_hits()
     }
 
+    /// Borrow the exact `f32` rows this tier keeps, row-major in id
+    /// order: the rows themselves for F32, the re-rank source for SQ8
+    /// and PQ. `None` for F16, whose rows are rounded and keep no exact
+    /// copy. An index file uses this to store each row once.
+    pub fn exact_rows(&self) -> Option<&[f32]> {
+        match self {
+            RowStorage::F32(d) => Some(d),
+            RowStorage::Sq8(q) => Some(&q.source),
+            RowStorage::Pq(p) => Some(&p.source),
+            RowStorage::F16(_) => None,
+        }
+    }
+}
+
+#[cfg(test)]
+impl RowStorage {
     /// Decode row `id` into an `f32` buffer — exact for every
     /// precision (f16 widening never rounds; SQ8 reads the retained
     /// source row, not the codes).
@@ -749,24 +751,11 @@ impl RowStorage {
             RowStorage::F32(d) => out.copy_from_slice(&d[i..i + dim]),
             RowStorage::F16(d) => {
                 for (o, &h) in out.iter_mut().zip(&d[i..i + dim]) {
-                    *o = f32_from_f16(h);
+                    *o = seesaw_linalg::f32_from_f16(h);
                 }
             }
             RowStorage::Sq8(q) => out.copy_from_slice(&q.source[i..i + dim]),
             RowStorage::Pq(p) => out.copy_from_slice(&p.source[i..i + dim]),
-        }
-    }
-
-    /// Borrow the exact `f32` rows this tier keeps, row-major in id
-    /// order: the rows themselves for F32, the re-rank source for SQ8
-    /// and PQ. `None` for F16, whose rows are rounded and keep no exact
-    /// copy. An index file uses this to store each row once.
-    pub fn exact_rows(&self) -> Option<&[f32]> {
-        match self {
-            RowStorage::F32(d) => Some(d),
-            RowStorage::Sq8(q) => Some(&q.source),
-            RowStorage::Pq(p) => Some(&p.source),
-            RowStorage::F16(_) => None,
         }
     }
 }
@@ -1039,8 +1028,6 @@ mod tests {
         assert_eq!(RowPrecision::parse("pq8x0"), None);
         assert_eq!(RowPrecision::parse("bf16"), None);
         assert_eq!(RowPrecision::default(), RowPrecision::F32);
-        assert_eq!(RowPrecision::F16.bytes_per_element(), 2);
-        assert_eq!(RowPrecision::Sq8.bytes_per_element(), 1);
         assert!(RowPrecision::Sq8.is_quantized());
         assert!(RowPrecision::Pq { m: 8, nbits: 8 }.is_quantized());
         assert!(!RowPrecision::F16.is_quantized());

@@ -72,19 +72,57 @@ fn default_root() -> PathBuf {
 }
 
 fn lint_cmd(root: &Path, report: Option<&Path>) -> ExitCode {
-    let files = rust_sources(root);
-    let mut findings: Vec<rules::Finding> = Vec::new();
+    let (findings, n_files) = match lint_tree(root) {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("xtask lint: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    let mut out = Vec::new();
+    let denied: Vec<&rules::Finding> = findings.iter().filter(|f| !f.allowed).collect();
+    let allowed: Vec<&rules::Finding> = findings.iter().filter(|f| f.allowed).collect();
+    for f in &denied {
+        out.push(f.render());
+    }
+    for f in &allowed {
+        out.push(f.render());
+    }
+    out.push(format!(
+        "xtask lint: {} finding(s), {} suppressed via xtask-allow, {} file(s) scanned",
+        denied.len(),
+        allowed.len(),
+        n_files
+    ));
+    let text = out.join("\n");
+    println!("{text}");
+    if let Some(path) = report {
+        if let Err(e) = write_report(path, &text) {
+            eprintln!("xtask lint: cannot write report {}: {e}", path.display());
+            return ExitCode::from(2);
+        }
+    }
+    if denied.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
+}
+
+/// Every finding of every rule over the tree at `root`, suppressed
+/// ones included and sorted by location, plus the number of files
+/// scanned.
+fn lint_tree(root: &Path) -> Result<(Vec<rules::Finding>, usize), String> {
+    let paths = rust_sources(root);
+    let mut files = Vec::with_capacity(paths.len());
+    for rel in &paths {
+        let src =
+            fs::read_to_string(root.join(rel)).map_err(|e| format!("cannot read {rel}: {e}"))?;
+        files.push(rules::FileLint::new(rel, &src));
+    }
+    let mut findings: Vec<rules::Finding> = files.iter().flat_map(|f| f.findings()).collect();
     let mut env_uses: BTreeMap<String, (String, u32)> = BTreeMap::new();
-    for rel in &files {
-        let src = match fs::read_to_string(root.join(rel)) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("xtask lint: cannot read {rel}: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let fl = rules::FileLint::new(rel, &src);
-        findings.extend(fl.findings());
+    for (rel, fl) in paths.iter().zip(&files) {
         for (name, line) in fl.env_uses() {
             env_uses.entry(name).or_insert((rel.clone(), line));
         }
@@ -104,38 +142,12 @@ fn lint_cmd(root: &Path, report: Option<&Path>) -> ExitCode {
             allowed: false,
         }),
     }
+    // D1 needs every file's names.
+    findings.extend(rules::check_unnamed_pub(&files));
 
     findings
         .sort_by(|a, b| (a.path.as_str(), a.line, a.rule).cmp(&(b.path.as_str(), b.line, b.rule)));
-
-    let mut out = Vec::new();
-    let denied: Vec<&rules::Finding> = findings.iter().filter(|f| !f.allowed).collect();
-    let allowed: Vec<&rules::Finding> = findings.iter().filter(|f| f.allowed).collect();
-    for f in &denied {
-        out.push(f.render());
-    }
-    for f in &allowed {
-        out.push(f.render());
-    }
-    out.push(format!(
-        "xtask lint: {} finding(s), {} suppressed via xtask-allow, {} file(s) scanned",
-        denied.len(),
-        allowed.len(),
-        files.len()
-    ));
-    let text = out.join("\n");
-    println!("{text}");
-    if let Some(path) = report {
-        if let Err(e) = write_report(path, &text) {
-            eprintln!("xtask lint: cannot write report {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-    }
-    if denied.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    Ok((findings, paths.len()))
 }
 
 fn write_report(path: &Path, text: &str) -> std::io::Result<()> {
@@ -200,22 +212,12 @@ mod tests {
     /// that `cargo test` keeps in lockstep with `xtask lint` in CI.
     #[test]
     fn workspace_lint_is_clean() {
-        let root = default_root();
-        let files = rust_sources(&root);
-        let mut env_uses: BTreeMap<String, (String, u32)> = BTreeMap::new();
-        let mut denied = Vec::new();
-        for rel in &files {
-            let src = fs::read_to_string(root.join(rel)).expect("readable source");
-            let fl = rules::FileLint::new(rel, &src);
-            denied.extend(fl.findings().into_iter().filter(|f| !f.allowed));
-            for (name, line) in fl.env_uses() {
-                env_uses.entry(name).or_insert((rel.clone(), line));
-            }
-        }
-        let readme = fs::read_to_string(root.join("README.md")).expect("README.md");
-        let registry = rules::parse_registry(&readme).expect("env registry markers in README.md");
-        denied.extend(rules::check_env_registry(&env_uses, &registry));
-        let rendered: Vec<String> = denied.iter().map(|f| f.render()).collect();
+        let (findings, _) = lint_tree(&default_root()).expect("readable sources");
+        let rendered: Vec<String> = findings
+            .iter()
+            .filter(|f| !f.allowed)
+            .map(|f| f.render())
+            .collect();
         assert!(
             rendered.is_empty(),
             "lint findings:\n{}",

@@ -11,6 +11,7 @@
 //! | K1   | FMA intrinsics / `mul_add` in kernel backends (bit-identity contract)|
 //! | E1   | `SEESAW_*` env var read that is missing from the README registry,    |
 //! |      | or a registry row that no source reads any more                      |
+//! | D1   | a `pub` item under `crates/*/src` that no non-test source names      |
 //!
 //! Any finding can be suppressed inline with `// xtask-allow: <rule>`
 //! on the same line or the line above; suppressions are counted and
@@ -20,7 +21,7 @@ use crate::lexer::{lex, Kind, Lexed};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// All rule identifiers, for validating `xtask-allow:` directives.
-pub const RULE_IDS: &[&str] = &["U1", "U2", "F1", "F2", "K1", "E1"];
+pub const RULE_IDS: &[&str] = &["U1", "U2", "F1", "F2", "K1", "E1", "D1"];
 
 /// Files (by workspace-relative path, `/`-separated) where `unsafe`
 /// is permitted at all. U1 still applies inside these.
@@ -70,6 +71,12 @@ const K1_DENY_IDENTS: &[&str] = &[
 /// fixtures mention fake `SEESAW_*` names inside string literals.
 const E1_EXCLUDE_PREFIX: &str = "crates/xtask/";
 
+/// Item keywords whose `pub` form D1 checks, and whose following
+/// identifier is a definition rather than a use.
+const D1_ITEM_KEYWORDS: &[&str] = &[
+    "fn", "struct", "enum", "trait", "const", "static", "type", "union",
+];
+
 #[derive(Debug, Clone)]
 pub struct Finding {
     pub rule: &'static str,
@@ -117,7 +124,8 @@ impl FileLint {
     }
 
     /// All findings for the file-local rules (U1, U2, F1, F2, K1).
-    /// E1 needs cross-file state and runs in [`check_env_registry`].
+    /// E1 and D1 need cross-file state and run in
+    /// [`check_env_registry`] and [`check_unnamed_pub`].
     pub fn findings(&self) -> Vec<Finding> {
         let mut out = Vec::new();
         self.rule_u1_u2(&mut out);
@@ -145,18 +153,129 @@ impl FileLint {
         uses
     }
 
-    fn push(&self, out: &mut Vec<Finding>, rule: &'static str, line: u32, msg: String) {
+    /// D1: the `pub` items this file defines outside test code, as
+    /// `(name, line)` pairs where the line is the `pub`'s. Empty outside
+    /// `crates/*/src`.
+    fn pub_items(&self) -> Vec<(String, u32)> {
+        let parts: Vec<&str> = self.rel.split('/').collect();
+        if parts.len() < 4 || parts[0] != "crates" || parts[2] != "src" || self.is_test_file() {
+            return Vec::new();
+        }
+        let toks = &self.lexed.toks;
+        let mut items = Vec::new();
+        for (i, t) in toks.iter().enumerate() {
+            if t.kind != Kind::Ident || t.text != "pub" || self.in_test_region(t.line) {
+                continue;
+            }
+            // Skip `pub(crate)` and friends, then `const fn` / `unsafe` /
+            // `async` / `extern "C"` qualifiers.
+            let mut j = i + 1;
+            if toks.get(j).is_some_and(|n| n.text == "(") {
+                continue;
+            }
+            while let Some(n) = toks.get(j) {
+                let qualifier = n.kind == Kind::Str
+                    || matches!(n.text.as_str(), "unsafe" | "async" | "extern")
+                    || (n.text == "const"
+                        && toks.get(j + 1).is_some_and(|m| {
+                            matches!(m.text.as_str(), "fn" | "unsafe" | "async" | "extern")
+                        }));
+                if !qualifier {
+                    break;
+                }
+                j += 1;
+            }
+            if let Some(k) = self.defined_name(j) {
+                items.push((toks[k].text.clone(), t.line));
+            }
+        }
+        items
+    }
+
+    /// D1: every identifier this file's non-test code names, leaving
+    /// out definitions and `pub use` re-exports. Test files name
+    /// nothing.
+    fn names(&self) -> BTreeSet<&str> {
+        let mut names = BTreeSet::new();
+        if self.is_test_file() {
+            return names;
+        }
+        let toks = &self.lexed.toks;
+        let mut i = 0;
+        while i < toks.len() {
+            let t = &toks[i];
+            if t.kind == Kind::Ident && t.text == "pub" && self.is_pub_use(i) {
+                while i < toks.len() && toks[i].text != ";" {
+                    i += 1;
+                }
+                continue;
+            }
+            if let Some(k) = self.defined_name(i) {
+                i = k + 1;
+                continue;
+            }
+            if t.kind == Kind::Ident && !self.in_test_region(t.line) {
+                names.insert(t.text.as_str());
+            }
+            i += 1;
+        }
+        names
+    }
+
+    /// The index of the identifier defined by the item keyword at
+    /// token `i`, if `toks[i]` is one (`fn name`, `static mut NAME`).
+    fn defined_name(&self, i: usize) -> Option<usize> {
+        let toks = &self.lexed.toks;
+        let kw = toks.get(i)?;
+        if kw.kind != Kind::Ident || !D1_ITEM_KEYWORDS.contains(&kw.text.as_str()) {
+            return None;
+        }
+        let mut j = i + 1;
+        if kw.text == "static" && toks.get(j)?.text == "mut" {
+            j += 1;
+        }
+        let name = toks.get(j)?;
+        (name.kind == Kind::Ident && !D1_ITEM_KEYWORDS.contains(&name.text.as_str())).then_some(j)
+    }
+
+    /// Is the `pub` at token `i` the start of a `pub use` (or
+    /// `pub(crate) use`) re-export?
+    fn is_pub_use(&self, i: usize) -> bool {
+        let toks = &self.lexed.toks;
+        let mut j = i + 1;
+        if toks.get(j).is_some_and(|t| t.text == "(") {
+            while toks.get(j).is_some_and(|t| t.text != ")") {
+                j += 1;
+            }
+            j += 1;
+        }
+        toks.get(j).is_some_and(|t| t.text == "use")
+    }
+
+    /// Test-only sources: anything under a `tests/` directory and the
+    /// crates' `proptests.rs` modules.
+    fn is_test_file(&self) -> bool {
+        self.rel.starts_with("tests/")
+            || self.rel.contains("/tests/")
+            || self.rel.ends_with("/proptests.rs")
+    }
+
+    fn finding(&self, rule: &'static str, line: u32, msg: String) -> Finding {
         let allowed = self
             .allows
             .get(&line)
             .is_some_and(|rules| rules.contains(rule));
-        out.push(Finding {
+        Finding {
             rule,
             path: self.rel.clone(),
             line,
             msg,
             allowed,
-        });
+        }
+    }
+
+    fn push(&self, out: &mut Vec<Finding>, rule: &'static str, line: u32, msg: String) {
+        out.push(self.finding(rule, line, msg));
     }
 
     fn in_test_region(&self, line: u32) -> bool {
@@ -353,6 +472,30 @@ pub fn check_env_registry(
     findings
 }
 
+/// D1: every `pub` item under `crates/*/src` must be named by some
+/// non-test source other than its own definition. A `pub use`
+/// re-export is not a use; a plain `use` is, since `-D warnings`
+/// denies an unused import.
+pub fn check_unnamed_pub(files: &[FileLint]) -> Vec<Finding> {
+    let named: BTreeSet<&str> = files.iter().flat_map(|f| f.names()).collect();
+    let mut findings = Vec::new();
+    for f in files {
+        for (name, line) in f.pub_items() {
+            if !named.contains(name.as_str()) {
+                findings.push(f.finding(
+                    "D1",
+                    line,
+                    format!(
+                        "`pub` item `{name}` is named by no non-test source; delete it, \
+                         move it into `#[cfg(test)]`, or allow it with a reason"
+                    ),
+                ));
+            }
+        }
+    }
+    findings
+}
+
 /// Parse the registry table out of README.md: every `SEESAW_*` name
 /// between the begin/end markers counts as registered, keyed to the
 /// 1-based README line of its first mention.
@@ -397,7 +540,8 @@ pub fn extract_env_names(text: &str) -> Vec<String> {
 }
 
 /// `// xtask-allow: U1, F2` directives. A directive suppresses the
-/// named rules on the comment's own line(s) and the line after it.
+/// named rules on the comment's own line(s) and the line after it; a D1
+/// directive suppresses only when it also gives a reason.
 fn collect_allows(lexed: &Lexed) -> BTreeMap<u32, BTreeSet<String>> {
     let mut allows: BTreeMap<u32, BTreeSet<String>> = BTreeMap::new();
     for c in &lexed.comments {
@@ -405,9 +549,15 @@ fn collect_allows(lexed: &Lexed) -> BTreeMap<u32, BTreeSet<String>> {
             continue;
         };
         let rest = &c.text[pos + "xtask-allow:".len()..];
-        let rules: Vec<&str> = rest
+        let words: Vec<&str> = rest
             .split(|ch: char| !ch.is_ascii_alphanumeric())
-            .filter(|w| RULE_IDS.contains(w))
+            .filter(|w| !w.is_empty())
+            .collect();
+        // A D1 allow keeps a caller-less item, so it must say why.
+        let has_reason = words.iter().any(|w| !RULE_IDS.contains(w));
+        let rules: Vec<&str> = words
+            .into_iter()
+            .filter(|w| RULE_IDS.contains(w) && (*w != "D1" || has_reason))
             .collect();
         for l in c.line..=c.end_line + 1 {
             let entry = allows.entry(l).or_default();
@@ -757,6 +907,107 @@ mod tests {
         assert!(reg.contains_key("SEESAW_THREADS"));
         assert!(!reg.contains_key("SEESAW_NOT_IN_TABLE"));
         assert_eq!(parse_registry("no markers here"), None);
+    }
+
+    // ---- D1 fixtures -------------------------------------------------
+
+    fn d1(files: &[(&str, &str)]) -> Vec<Finding> {
+        let lints: Vec<FileLint> = files
+            .iter()
+            .map(|(rel, src)| FileLint::new(rel, src))
+            .collect();
+        check_unnamed_pub(&lints)
+    }
+
+    fn d1_denied(files: &[(&str, &str)]) -> Vec<(String, u32)> {
+        d1(files)
+            .into_iter()
+            .filter(|f| !f.allowed)
+            .map(|f| (f.path, f.line))
+            .collect()
+    }
+
+    #[test]
+    fn d1_flags_a_callerless_fn() {
+        let lib = "pub fn used() {}\n\npub fn lonely() -> u32 {\n    7\n}\n";
+        let user = "fn main() {\n    demo::used();\n}\n";
+        assert_eq!(
+            d1_denied(&[("crates/demo/src/lib.rs", lib), ("examples/e.rs", user)]),
+            vec![("crates/demo/src/lib.rs".to_string(), 3)]
+        );
+    }
+
+    #[test]
+    fn d1_passes_items_named_in_another_file() {
+        let lib =
+            "pub struct Thing;\npub const LIMIT: usize = 3;\npub static mut COUNT: u32 = 0;\n\
+                   pub trait Shape {}\npub type Id = u32;\npub enum Mode { A }\n\
+                   pub const fn cheap() -> u32 { 1 }\npub unsafe fn raw() {}\n";
+        let user =
+            "use demo::{Shape, Thing};\nfn f(_: Thing, _: &dyn Shape, _: demo::Id, _: demo::Mode) \
+                    -> usize { demo::LIMIT + demo::cheap() as usize + demo::COUNT as usize }\n\
+                    fn g() { demo::raw() }\n";
+        assert!(d1_denied(&[("crates/demo/src/lib.rs", lib), ("src/main.rs", user)]).is_empty());
+    }
+
+    #[test]
+    fn d1_ignores_comments_strings_reexports_and_test_code() {
+        let lib = "pub fn ghost() {}\n";
+        let mentions =
+            "// ghost\n/// [`ghost`]\nconst S: &str = \"ghost\";\npub use demo::ghost;\n\
+                        #[cfg(test)]\nmod tests {\n    fn t() { super::ghost(); }\n}\n\
+                        #[test]\nfn u() { ghost(); }\n";
+        let files = [
+            ("crates/demo/src/lib.rs", lib),
+            ("src/lib.rs", mentions),
+            ("tests/it.rs", "fn t() { demo::ghost(); }\n"),
+            ("crates/demo/tests/more.rs", "fn t() { demo::ghost(); }\n"),
+            (
+                "crates/demo/src/proptests.rs",
+                "fn t() { crate::ghost(); }\n",
+            ),
+        ];
+        assert_eq!(
+            d1_denied(&files),
+            vec![("crates/demo/src/lib.rs".to_string(), 1)]
+        );
+        // A plain `use` is a use: `-D warnings` denies an unused import.
+        let files = [
+            ("crates/demo/src/lib.rs", lib),
+            ("src/lib.rs", "use demo::ghost;\n"),
+        ];
+        assert!(d1_denied(&files).is_empty());
+    }
+
+    #[test]
+    fn d1_checks_only_plain_pub_items_in_crate_sources() {
+        let lib = "pub(crate) fn internal() {}\npub use other::Thing;\npub mod m;\n\
+                   pub struct P {\n    pub field: u32,\n}\n\
+                   #[cfg(test)]\nmod tests {\n    pub fn helper() {}\n}\n";
+        let user = "fn f(_: demo::P) {}\n";
+        assert!(d1_denied(&[("crates/demo/src/lib.rs", lib), ("src/main.rs", user)]).is_empty());
+        // Outside `crates/*/src` nothing is checked.
+        for rel in [
+            "src/lib.rs",
+            "crates/demo/benches/b.rs",
+            "shims/rand/src/lib.rs",
+        ] {
+            assert!(
+                d1_denied(&[(rel, "pub fn nobody() {}\n")]).is_empty(),
+                "{rel}"
+            );
+        }
+    }
+
+    #[test]
+    fn d1_honours_an_allow_with_a_reason() {
+        let lib = "/// Docs.\n// xtask-allow: D1 the suites drive it\npub fn kept() {}\n\
+                   // xtask-allow: D1\npub fn bare() {}\n";
+        let found = d1(&[("crates/demo/src/lib.rs", lib)]);
+        assert_eq!(found.len(), 2);
+        assert!(found.iter().any(|f| f.line == 3 && f.allowed));
+        // An allow that gives no reason does not suppress D1.
+        assert!(found.iter().any(|f| f.line == 5 && !f.allowed));
     }
 
     // ---- cross-cutting -----------------------------------------------

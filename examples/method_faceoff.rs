@@ -8,6 +8,7 @@
 //! ```
 
 use seesaw::core::run_benchmark_query;
+use seesaw::metrics::{hard_subset, select_hard};
 use seesaw::prelude::*;
 
 fn main() {
@@ -32,15 +33,9 @@ fn main() {
     };
 
     let zero_shot = run_all(&MethodConfig::zero_shot);
-    let hard: Vec<usize> = zero_shot
-        .iter()
-        .enumerate()
-        .filter(|(_, &ap)| ap < 0.5)
-        .map(|(i, _)| i)
-        .collect();
+    let hard = hard_subset(&zero_shot);
     let mean = |aps: &[f64]| aps.iter().sum::<f64>() / aps.len().max(1) as f64;
-    let hard_mean =
-        |aps: &[f64]| hard.iter().map(|&i| aps[i]).sum::<f64>() / hard.len().max(1) as f64;
+    let hard_mean = |aps: &[f64]| mean(&select_hard(aps, &hard));
 
     println!("{:<22} {:>8} {:>12}", "method", "mean AP", "hard subset");
     println!("{}", "-".repeat(44));

@@ -3,7 +3,7 @@
 //! they test *orderings*, with slack for small-sample noise.
 
 use seesaw::core::run_benchmark_query;
-use seesaw::metrics::mean;
+use seesaw::metrics::{hard_subset, mean, select_hard};
 use seesaw::prelude::*;
 
 struct Bench {
@@ -40,15 +40,10 @@ fn seesaw_beats_zero_shot_on_hard_queries() {
         let b = build(spec, 41);
         let zs = aps(&b, true, &MethodConfig::zero_shot);
         let ss = aps(&b, false, &MethodConfig::seesaw);
-        let hard: Vec<usize> = zs
-            .iter()
-            .enumerate()
-            .filter(|(_, &a)| a < 0.5)
-            .map(|(i, _)| i)
-            .collect();
+        let hard = hard_subset(&zs);
         assert!(hard.len() >= 3, "{}: too few hard queries", b.ds.name);
-        let zs_hard = mean(&hard.iter().map(|&i| zs[i]).collect::<Vec<_>>());
-        let ss_hard = mean(&hard.iter().map(|&i| ss[i]).collect::<Vec<_>>());
+        let zs_hard = mean(&select_hard(&zs, &hard));
+        let ss_hard = mean(&select_hard(&ss, &hard));
         assert!(
             ss_hard > zs_hard + 0.03,
             "{}: seesaw hard {ss_hard:.3} vs zero-shot hard {zs_hard:.3}",
@@ -104,15 +99,10 @@ fn multiscale_amplifies_seesaw_on_small_object_data() {
     let ss_coarse = aps(&b, true, &MethodConfig::seesaw);
     let ss_multi = aps(&b, false, &MethodConfig::seesaw);
     let zs = aps(&b, true, &MethodConfig::zero_shot);
-    let hard: Vec<usize> = zs
-        .iter()
-        .enumerate()
-        .filter(|(_, &a)| a < 0.5)
-        .map(|(i, _)| i)
-        .collect();
+    let hard = hard_subset(&zs);
     if hard.len() >= 2 {
-        let coarse_hard = mean(&hard.iter().map(|&i| ss_coarse[i]).collect::<Vec<_>>());
-        let multi_hard = mean(&hard.iter().map(|&i| ss_multi[i]).collect::<Vec<_>>());
+        let coarse_hard = mean(&select_hard(&ss_coarse, &hard));
+        let multi_hard = mean(&select_hard(&ss_multi, &hard));
         assert!(
             multi_hard >= coarse_hard - 0.02,
             "multiscale hard {multi_hard:.3} vs coarse hard {coarse_hard:.3}"
