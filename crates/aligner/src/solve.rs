@@ -17,7 +17,7 @@ use crate::loss::AlignerLoss;
 /// synthetic embedding (λ = 1, λc = 1, λD = 100, with the
 /// edge-normalized `M_D`); Table 7's invariance claim — AP stable while
 /// each λ varies an order of magnitude — is reproduced around these
-/// values. See EXPERIMENTS.md.
+/// values (`paper table7`).
 #[derive(Clone, Debug)]
 pub struct AlignerConfig {
     /// `λ` — weight-magnitude penalty.

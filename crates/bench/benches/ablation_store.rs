@@ -25,7 +25,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use seesaw_bench::{ap_per_query, bench_seed, bench_store_config};
+use seesaw_bench::{ap_per_query, bench_scale, bench_seed, bench_store_config};
 use seesaw_core::{MethodConfig, PreprocessConfig, Preprocessor};
 use seesaw_dataset::DatasetSpec;
 use seesaw_metrics::{mean, BenchmarkProtocol, TableBuilder};
@@ -34,8 +34,7 @@ use seesaw_vecstore::{
 };
 
 fn main() {
-    let scale = 0.01 * seesaw_bench::env_f64("SEESAW_SCALE", 1.0);
-    let ds = DatasetSpec::lvis_like(scale)
+    let ds = DatasetSpec::lvis_like(bench_scale())
         .with_max_queries(20)
         .generate(bench_seed());
     let idx = Preprocessor::new(PreprocessConfig::fast()).build(&ds);

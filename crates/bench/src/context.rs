@@ -29,9 +29,8 @@ pub fn bench_precision() -> RowPrecision {
 /// The vector-store backend for bench indexes, selected by environment
 /// (`SEESAW_STORE` = `forest` | `exact` | `ivf`,
 /// `SEESAW_PRECISION` = `f32` | `f16` | `sq8` | `pq<m>x<nbits>`)
-/// instead of hardcoding one — every
-/// harness that builds through [`build_indexes`] runs against
-/// whichever backend the caller picks.
+/// instead of hardcoding one — every index the paper experiments
+/// build runs against whichever backend the caller picks.
 ///
 /// # Panics
 /// Panics on an unknown `SEESAW_STORE` or `SEESAW_PRECISION` value
@@ -51,13 +50,18 @@ pub fn bench_store_config() -> StoreConfig {
     cfg.with_precision(bench_precision())
 }
 
-/// The four paper datasets at bench scale, in the paper's column order
-/// (LVIS, ObjNet, COCO, BDD). The default scale is 1% of the paper's
-/// image counts; `SEESAW_SCALE` multiplies it.
+/// Dataset scale as a fraction of the paper's image counts: 1% times
+/// `SEESAW_SCALE`.
+pub fn bench_scale() -> f64 {
+    0.01 * env_f64("SEESAW_SCALE", 1.0)
+}
+
+/// The four paper datasets at [`bench_scale`], in the paper's column
+/// order (LVIS, ObjNet, COCO, BDD), each capped at `SEESAW_QUERIES`
+/// queries.
 pub fn bench_suite() -> Vec<DatasetSpec> {
-    let scale = 0.01 * env_f64("SEESAW_SCALE", 1.0);
     let max_q = env_usize("SEESAW_QUERIES", 40);
-    DatasetSpec::paper_suite(scale)
+    DatasetSpec::paper_suite(bench_scale())
         .into_iter()
         .map(|s| {
             let cap = max_q.min(s.max_queries.max(1));

@@ -1,10 +1,10 @@
-//! Shared harness for the paper-reproduction benchmarks.
-//!
-//! Every `benches/` target regenerates one table or figure of the paper
-//! (see `DESIGN.md` §3 for the index). This library provides the pieces
-//! they share: dataset construction at a configurable scale, method
-//! sweeps over the benchmark queries and the §5.5 user-time simulator.
-//! The hard-subset split lives in `seesaw_metrics`.
+//! The paper reproduction: the evaluation of arXiv 2208.06497 §5, run
+//! by the `paper` binary (`paper <name>` for one figure or table,
+//! `paper all` for every one), plus what the `ablation_store` and
+//! `scan_throughput` gate harnesses share with it: dataset construction
+//! at a configurable scale and method sweeps over the benchmark queries.
+//! The hard-subset split lives in `seesaw_metrics`, the §5.5 user-time
+//! simulator in this crate's `usersim` module.
 //!
 //! ## Environment knobs
 //!
@@ -20,19 +20,15 @@
 //!   backends: `f32` (default), `f16`, or `sq8` (no-op on the RP
 //!   forest, which keeps its own f32 layout).
 
-pub mod context;
+mod context;
 pub mod experiments;
-pub mod usersim;
+mod usersim;
 
-pub use context::{
-    bench_precision, bench_seed, bench_store_config, bench_suite, build_indexes, BuiltDataset,
-    IndexNeeds,
-};
-pub use experiments::{ap_per_query, MethodFactory};
-pub use usersim::{simulate_task_time, AnnotationModel, UserSimConfig};
+pub use context::{bench_scale, bench_seed, bench_store_config};
+pub use experiments::ap_per_query;
 
 /// Read an f64 environment knob with a default.
-pub fn env_f64(name: &str, default: f64) -> f64 {
+pub(crate) fn env_f64(name: &str, default: f64) -> f64 {
     std::env::var(name)
         .ok()
         .and_then(|v| v.parse().ok())

@@ -3,12 +3,7 @@
 //! The paper's end-to-end study decomposes task time into per-image
 //! annotation time (Table 5) plus system latency, measured over 20 grad
 //! students and 20 MTurk workers. We reproduce the decomposition with
-//! the paper's measured per-image costs:
-//!
-//! | condition         | baseline | SeeSaw |
-//! |-------------------|---------:|-------:|
-//! | not marked        |   1.98 s | 2.40 s |
-//! | marked relevant   |   3.00 s | 4.40 s |
+//! the paper's measured per-image costs ([`AnnotationModel`]).
 //!
 //! Simulated users draw a personal speed factor (lognormal) and
 //! per-image lognormal noise; task time accumulates annotation costs

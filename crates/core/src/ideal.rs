@@ -83,8 +83,9 @@ mod tests {
             .expect("a hard query exists");
         let ideal = ideal_query_vector(&idx, &ds, q.concept);
         let out_ideal =
-            run_benchmark_query(&idx, &ds, q.concept, MethodConfig::fixed(ideal), &proto);
-        let out_zero = run_benchmark_query(&idx, &ds, q.concept, MethodConfig::zero_shot(), &proto);
+            run_benchmark_query(&idx, &ds, q.concept, MethodConfig::fixed(ideal), &proto, 1);
+        let out_zero =
+            run_benchmark_query(&idx, &ds, q.concept, MethodConfig::zero_shot(), &proto, 1);
         assert!(
             out_ideal.ap >= out_zero.ap,
             "ideal {} must be at least zero-shot {}",

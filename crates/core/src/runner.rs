@@ -21,18 +21,23 @@ pub struct RunOutcome {
     pub trace: SearchTrace,
     /// Average Precision under the protocol.
     pub ap: f64,
-    /// System latency of each iteration in seconds (lookup + align; the
-    /// simulated user's annotation time is *not* included).
+    /// System latency of each iteration (one batch) in seconds (lookup +
+    /// align; the simulated user's annotation time is *not* included).
     pub iteration_seconds: Vec<f64>,
 }
 
 /// Run `concept` against `index` with `method`, following `protocol`.
+///
+/// Each iteration of Listing 1's loop shows the next `batch` images
+/// and feeds back every one's annotation, stopping mid-batch once the
+/// protocol is met; `batch = 0` shows nothing.
 pub fn run_benchmark_query(
     index: &Arc<DatasetIndex>,
     dataset: &SyntheticDataset,
     concept: ConceptId,
     method: MethodConfig,
     protocol: &BenchmarkProtocol,
+    batch: usize,
 ) -> RunOutcome {
     let total_relevant = dataset.truth.relevant_images(concept).len();
     let user = SimulatedUser::new(dataset);
@@ -43,20 +48,23 @@ pub fn run_benchmark_query(
 
     while !protocol.should_stop(relevance.len(), found) {
         let t0 = Instant::now();
-        let batch = session.next_batch(1);
-        let Some(&image) = batch.first() else {
+        let images = session.next_batch(batch);
+        if images.is_empty() {
             break; // database exhausted
-        };
-        let fb = user.annotate(image, concept);
-        let relevant = fb.relevant;
-        // Feedback/alignment time is system latency; the user's
-        // annotation time is modeled separately (Table 5).
-        session.feedback(fb);
-        iteration_seconds.push(t0.elapsed().as_secs_f64());
-        relevance.push(relevant);
-        if relevant {
-            found += 1;
         }
+        for image in images {
+            let fb = user.annotate(image, concept);
+            let relevant = fb.relevant;
+            // Feedback/alignment time is system latency; the user's
+            // annotation time is modeled separately (Table 5).
+            session.feedback(fb);
+            relevance.push(relevant);
+            found += usize::from(relevant);
+            if protocol.should_stop(relevance.len(), found) {
+                break;
+            }
+        }
+        iteration_seconds.push(t0.elapsed().as_secs_f64());
     }
 
     let trace = SearchTrace::new(relevance);
@@ -83,11 +91,34 @@ mod tests {
         let idx = Preprocessor::new(PreprocessConfig::fast()).build(&ds);
         let proto = BenchmarkProtocol::default();
         let q = ds.queries()[0];
-        let out = run_benchmark_query(&idx, &ds, q.concept, MC::zero_shot(), &proto);
+        let out = run_benchmark_query(&idx, &ds, q.concept, MC::zero_shot(), &proto, 1);
         assert!(out.trace.shown() <= proto.image_budget);
         assert!(out.trace.found() <= proto.target_results);
         assert!((0.0..=1.0).contains(&out.ap));
         assert_eq!(out.iteration_seconds.len(), out.trace.shown());
+    }
+
+    #[test]
+    fn batches_stop_mid_batch_and_time_per_batch() {
+        let ds = DatasetSpec::coco_like(0.001)
+            .with_max_queries(10)
+            .generate(31);
+        let idx = Preprocessor::new(PreprocessConfig::fast()).build(&ds);
+        let proto = BenchmarkProtocol::default();
+        for q in ds.queries() {
+            let out = run_benchmark_query(&idx, &ds, q.concept, MC::seesaw(), &proto, 7);
+            let (shown, found) = (out.trace.shown(), out.trace.found());
+            assert!(shown <= proto.image_budget && found <= proto.target_results);
+            assert_eq!(out.iteration_seconds.len(), shown.div_ceil(7));
+            // The protocol is met only by the last image shown.
+            assert!(!proto.should_stop(
+                shown - 1,
+                found - usize::from(out.trace.relevance[shown - 1])
+            ));
+        }
+        let q = ds.queries()[0];
+        let none = run_benchmark_query(&idx, &ds, q.concept, MC::seesaw(), &proto, 0);
+        assert_eq!(none.trace.shown(), 0);
     }
 
     #[test]
@@ -110,7 +141,7 @@ mod tests {
             })
             .copied()
             .unwrap();
-        let out = run_benchmark_query(&idx, &ds, q.concept, MC::zero_shot(), &proto);
+        let out = run_benchmark_query(&idx, &ds, q.concept, MC::zero_shot(), &proto, 1);
         assert!(
             out.ap > 0.5,
             "easiest query (deficit {:.2}) got AP {:.2}",
@@ -125,8 +156,8 @@ mod tests {
         let idx = Preprocessor::new(PreprocessConfig::fast()).build(&ds);
         let proto = BenchmarkProtocol::default();
         let q = ds.queries()[0];
-        let a = run_benchmark_query(&idx, &ds, q.concept, MC::seesaw(), &proto);
-        let b = run_benchmark_query(&idx, &ds, q.concept, MC::seesaw(), &proto);
+        let a = run_benchmark_query(&idx, &ds, q.concept, MC::seesaw(), &proto, 1);
+        let b = run_benchmark_query(&idx, &ds, q.concept, MC::seesaw(), &proto, 1);
         assert_eq!(a.trace, b.trace);
         assert_eq!(a.ap, b.ap);
     }

@@ -7,9 +7,9 @@
 //! cargo run --release --example method_faceoff
 //! ```
 
-use seesaw::core::run_benchmark_query;
-use seesaw::metrics::{hard_subset, select_hard};
+use seesaw::metrics::{hard_subset, mean, select_hard};
 use seesaw::prelude::*;
+use seesaw_bench::ap_per_query;
 
 fn main() {
     let dataset = DatasetSpec::lvis_like(0.005)
@@ -25,16 +25,11 @@ fn main() {
     );
 
     let run_all = |make: &dyn Fn() -> MethodConfig| -> Vec<f64> {
-        dataset
-            .queries()
-            .iter()
-            .map(|q| run_benchmark_query(&index, &dataset, q.concept, make(), &protocol).ap)
-            .collect()
+        ap_per_query(&index, &dataset, &|_, _, _| make(), &protocol)
     };
 
     let zero_shot = run_all(&MethodConfig::zero_shot);
     let hard = hard_subset(&zero_shot);
-    let mean = |aps: &[f64]| aps.iter().sum::<f64>() / aps.len().max(1) as f64;
     let hard_mean = |aps: &[f64]| mean(&select_hard(aps, &hard));
 
     println!("{:<22} {:>8} {:>12}", "method", "mean AP", "hard subset");

@@ -7,9 +7,9 @@
 //! This facade crate re-exports the public API of every subsystem:
 //!
 //! * [`linalg`] — dense/sparse kernels shared by everything below.
-//! * [`optim`] — L-BFGS, logistic regression, Platt scaling.
+//! * [`optim`] — L-BFGS, Platt scaling.
 //! * [`embed`] — the synthetic visual-semantic embedding model that
-//!   substitutes for CLIP (see `DESIGN.md` §1 for the substitution
+//!   substitutes for CLIP (its crate docs give the substitution
 //!   argument).
 //! * [`dataset`] — synthetic labeled datasets mirroring COCO / LVIS /
 //!   ObjectNet / BDD.
@@ -19,8 +19,7 @@
 //! * [`knn`] — NN-descent kNN graphs and label propagation.
 //! * [`aligner`] — the paper's contribution: the query-alignment loss
 //!   (CLIP alignment + database alignment) and its L-BFGS solve.
-//! * [`baselines`] — Rocchio, few-shot CLIP, and Efficient Nonmyopic
-//!   Search.
+//! * [`baselines`] — Rocchio and Efficient Nonmyopic Search.
 //! * [`core`] — multiscale tiling, the preprocessing pipeline, the
 //!   interactive [`core::Session`] implementing Listing 1 of the paper,
 //!   and the serving layer: [`core::SearchService`] (owned,

@@ -21,7 +21,7 @@ fn query_with_no_relevant_images() {
         MethodConfig::seesaw(),
         MethodConfig::rocchio(),
     ] {
-        let out = run_benchmark_query(&index, &ds, absent, cfg, &proto);
+        let out = run_benchmark_query(&index, &ds, absent, cfg, &proto, 1);
         assert_eq!(out.ap, 0.0);
         assert_eq!(out.trace.found(), 0);
         assert_eq!(out.trace.shown(), proto.image_budget.min(ds.n_images()));
@@ -83,7 +83,7 @@ fn minimum_dataset_supports_all_methods() {
             MethodConfig::seesaw_prop(),
             MethodConfig::ens(10),
         ] {
-            let out = run_benchmark_query(&index, &ds, q.concept, cfg, &proto);
+            let out = run_benchmark_query(&index, &ds, q.concept, cfg, &proto, 1);
             assert!(out.trace.shown() <= 60);
         }
     }
@@ -139,6 +139,7 @@ fn calibration_falls_back_on_degenerate_labels() {
         q.concept,
         MethodConfig::ens_calibrated(30, priors),
         &proto,
+        1,
     );
     assert!(out.trace.shown() > 0);
 }

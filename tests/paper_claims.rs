@@ -5,6 +5,7 @@
 use seesaw::core::run_benchmark_query;
 use seesaw::metrics::{hard_subset, mean, select_hard};
 use seesaw::prelude::*;
+use seesaw_bench::ap_per_query;
 
 struct Bench {
     ds: SyntheticDataset,
@@ -20,12 +21,8 @@ fn build(spec: DatasetSpec, seed: u64) -> Bench {
 }
 
 fn aps(b: &Bench, coarse: bool, make: &dyn Fn() -> MethodConfig) -> Vec<f64> {
-    let proto = BenchmarkProtocol::default();
     let idx = if coarse { &b.coarse } else { &b.index };
-    b.ds.queries()
-        .iter()
-        .map(|q| run_benchmark_query(idx, &b.ds, q.concept, make(), &proto).ap)
-        .collect()
+    ap_per_query(idx, &b.ds, &|_, _, _| make(), &BenchmarkProtocol::default())
 }
 
 #[test]
@@ -139,8 +136,15 @@ fn seesaw_latency_does_not_scale_with_database_like_propagation() {
         let mut pp = Vec::new();
         for q in b.ds.queries().iter().take(3) {
             ss.extend(
-                run_benchmark_query(&b.index, &b.ds, q.concept, MethodConfig::seesaw(), &proto)
-                    .iteration_seconds,
+                run_benchmark_query(
+                    &b.index,
+                    &b.ds,
+                    q.concept,
+                    MethodConfig::seesaw(),
+                    &proto,
+                    1,
+                )
+                .iteration_seconds,
             );
             pp.extend(
                 run_benchmark_query(
@@ -149,6 +153,7 @@ fn seesaw_latency_does_not_scale_with_database_like_propagation() {
                     q.concept,
                     MethodConfig::seesaw_prop(),
                     &proto,
+                    1,
                 )
                 .iteration_seconds,
             );

@@ -20,7 +20,7 @@ fn every_preset_builds_and_searches() {
         assert!(index.m_d.is_some(), "{}: M_D missing", ds.name);
         let q = ds.queries()[0];
         let proto = BenchmarkProtocol::default();
-        let out = run_benchmark_query(&index, &ds, q.concept, MethodConfig::seesaw(), &proto);
+        let out = run_benchmark_query(&index, &ds, q.concept, MethodConfig::seesaw(), &proto, 1);
         assert!(out.trace.shown() > 0, "{}: nothing shown", ds.name);
         assert!((0.0..=1.0).contains(&out.ap), "{}: AP {}", ds.name, out.ap);
     }
@@ -44,7 +44,7 @@ fn all_methods_complete_on_one_dataset() {
         ("seesaw-prop", MethodConfig::seesaw_prop()),
     ];
     for (name, cfg) in methods {
-        let out = run_benchmark_query(&index, &ds, q.concept, cfg, &proto);
+        let out = run_benchmark_query(&index, &ds, q.concept, cfg, &proto, 1);
         assert!(
             out.trace.shown() > 0 && out.trace.shown() <= proto.image_budget,
             "{name}: bad trace length {}",
@@ -80,8 +80,8 @@ fn index_is_deterministic_across_rebuilds() {
     assert_eq!(a.coarse_patches, b.coarse_patches);
     let proto = BenchmarkProtocol::default();
     let q = ds.queries()[0];
-    let ra = run_benchmark_query(&a, &ds, q.concept, MethodConfig::seesaw(), &proto);
-    let rb = run_benchmark_query(&b, &ds, q.concept, MethodConfig::seesaw(), &proto);
+    let ra = run_benchmark_query(&a, &ds, q.concept, MethodConfig::seesaw(), &proto, 1);
+    let rb = run_benchmark_query(&b, &ds, q.concept, MethodConfig::seesaw(), &proto, 1);
     assert_eq!(ra.trace, rb.trace);
 }
 
