@@ -29,5 +29,5 @@ mod proptests;
 pub mod solve;
 
 pub use loss::AlignerLoss;
-pub use mdmatrix::{compute_db_matrix, DbMatrixConfig};
+pub use mdmatrix::{compute_db_matrix, db_matrix_from_adjacency, DbMatrixConfig};
 pub use solve::{AlignOutcome, AlignerConfig, QueryAligner};

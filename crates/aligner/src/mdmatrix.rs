@@ -14,27 +14,17 @@
 use rand::rngs::StdRng;
 use rand::seq::index::sample as index_sample;
 use rand::SeedableRng;
-use seesaw_knn::{gaussian_adjacency, laplacian, KnnGraph, NnDescentConfig, SigmaRule};
-use seesaw_linalg::DenseMatrix;
+use seesaw_knn::{gaussian_adjacency, laplacian, KnnGraph};
+use seesaw_linalg::{CsrMatrix, DenseMatrix};
 
 /// Configuration for [`compute_db_matrix`].
 #[derive(Clone, Debug)]
 pub struct DbMatrixConfig {
     /// kNN graph degree (paper benchmark: k = 10).
     pub k: usize,
-    /// Gaussian bandwidth rule (paper: σ = .05 on CLIP embeddings; the
-    /// adaptive median rule transfers across embedding geometries).
-    pub sigma: SigmaRule,
     /// Optional subsample size: compute `M_D` from this many vectors
     /// instead of all of them.
     pub sample: Option<usize>,
-    /// Normalize by the number of graph edges so `wᵀM_Dw/‖w‖²` is the
-    /// *mean* squared score difference across edges. This keeps `λD`
-    /// meaningful across dataset sizes (documented deviation: the paper
-    /// fixes dataset sizes, so it never needed this).
-    pub normalize_by_edges: bool,
-    /// NN-descent settings for the graph construction.
-    pub nn_descent: NnDescentConfig,
     /// Seed for subsampling.
     pub seed: u64,
 }
@@ -43,10 +33,7 @@ impl Default for DbMatrixConfig {
     fn default() -> Self {
         Self {
             k: 10,
-            sigma: SigmaRule::SelfTuning(1.0),
             sample: None,
-            normalize_by_edges: true,
-            nn_descent: NnDescentConfig::default(),
             seed: 0x3d,
         }
     }
@@ -81,15 +68,22 @@ pub fn compute_db_matrix(dim: usize, data: &[f32], cfg: &DbMatrixConfig) -> Dens
         return DenseMatrix::zeros(dim, dim);
     }
 
-    let graph = KnnGraph::nn_descent(dim, view, cfg.k, &cfg.nn_descent);
-    let adjacency = gaussian_adjacency(&graph, cfg.sigma);
-    let lap = laplacian(&adjacency);
-    let x = DenseMatrix::from_vec(n_eff, dim, view.to_vec());
+    let graph = KnnGraph::nn_descent(dim, view, cfg.k);
+    db_matrix_from_adjacency(dim, view, &gaussian_adjacency(&graph))
+}
+
+/// `M_D = Xᵀ L X / |E|` for the rows `data` and the weighted kNN
+/// adjacency over them, `L = D − W` its Laplacian and `|E|` its
+/// undirected edge count. Dividing by `|E|` makes `wᵀM_Dw/‖w‖²` the
+/// *mean* squared score difference across edges, which keeps `λD`
+/// meaningful across dataset sizes (a documented deviation: the paper
+/// fixes dataset sizes, so it never needed this).
+pub fn db_matrix_from_adjacency(dim: usize, data: &[f32], adjacency: &CsrMatrix) -> DenseMatrix {
+    let lap = laplacian(adjacency);
+    let x = DenseMatrix::from_vec(data.len() / dim, dim, data.to_vec());
     let mut m = lap.xtax(&x);
-    if cfg.normalize_by_edges {
-        let n_edges = (adjacency.nnz() / 2).max(1);
-        m.scale(1.0 / n_edges as f32);
-    }
+    let n_edges = (adjacency.nnz() / 2).max(1);
+    m.scale(1.0 / n_edges as f32);
     // Xᵀ L X is symmetric in exact arithmetic; enforce it so the solver
     // sees a clean quadratic form.
     m.symmetrize();

@@ -39,7 +39,6 @@ impl Default for AlignerConfig {
             solver: LbfgsConfig {
                 max_iters: 60,
                 grad_tol: 1e-5,
-                ..LbfgsConfig::default()
             },
         }
     }

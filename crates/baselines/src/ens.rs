@@ -32,29 +32,11 @@
 //! **linear in N per iteration**, which is exactly the scaling the paper
 //! contrasts against SeeSaw's N-independent aligner (Table 6).
 
-use seesaw_knn::{gaussian_adjacency, KnnGraph, SigmaRule};
+use seesaw_knn::{gaussian_adjacency, KnnGraph};
 use seesaw_linalg::CsrMatrix;
 
-/// ENS configuration (paper: k = 20 for the graph, σ = .05, horizon 60).
-#[derive(Clone, Debug)]
-pub struct EnsConfig {
-    /// Pseudo-count weight `w₀` of the prior γ_i in the kNN posterior.
-    pub prior_weight: f32,
-    /// Initial reward horizon `t`; decremented after every observation
-    /// ("we set the time horizon t = 60 initially, and reduce it after
-    /// every step so ENS can make optimal decisions given the time
-    /// remaining").
-    pub horizon: usize,
-}
-
-impl Default for EnsConfig {
-    fn default() -> Self {
-        Self {
-            prior_weight: 1.0,
-            horizon: 60,
-        }
-    }
-}
+/// Pseudo-count weight `w₀` of the prior γ_i in the kNN posterior.
+const PRIOR_WEIGHT: f32 = 1.0;
 
 /// The ENS active searcher over a fixed vertex set.
 #[derive(Clone, Debug)]
@@ -67,20 +49,24 @@ pub struct EnsSearcher {
     all_sum: Vec<f32>,
     /// Σ w_ij over labeled *positive* neighbours `j` of `i`.
     pos_sum: Vec<f32>,
-    prior_weight: f32,
     remaining: usize,
     n_unlabeled: usize,
 }
 
 impl EnsSearcher {
-    /// Build from a kNN graph, a bandwidth rule, and per-vertex priors
-    /// `γ_i ∈ [0, 1]` (e.g. CLIP scores mapped to the unit interval).
+    /// Build from a kNN graph (weighted by
+    /// [`seesaw_knn::gaussian_adjacency`]), per-vertex priors
+    /// `γ_i ∈ [0, 1]` (e.g. CLIP scores mapped to the unit interval),
+    /// and the initial reward horizon `t`, which is decremented after
+    /// every observation ("we set the time horizon t = 60 initially, and
+    /// reduce it after every step so ENS can make optimal decisions
+    /// given the time remaining").
     ///
     /// # Panics
     /// Panics when `priors` length differs from the graph size.
-    pub fn new(graph: &KnnGraph, sigma: SigmaRule, priors: Vec<f32>, config: &EnsConfig) -> Self {
+    pub fn new(graph: &KnnGraph, priors: Vec<f32>, horizon: usize) -> Self {
         assert_eq!(priors.len(), graph.len(), "prior/vertex count mismatch");
-        let adjacency = gaussian_adjacency(graph, sigma);
+        let adjacency = gaussian_adjacency(graph);
         let n = graph.len();
         Self {
             adjacency,
@@ -88,8 +74,7 @@ impl EnsSearcher {
             labels: vec![-1; n],
             all_sum: vec![0.0; n],
             pos_sum: vec![0.0; n],
-            prior_weight: config.prior_weight.max(1e-6),
-            remaining: config.horizon.max(1),
+            remaining: horizon.max(1),
             n_unlabeled: n,
         }
     }
@@ -112,8 +97,7 @@ impl EnsSearcher {
     /// Current posterior `p(y_i = 1)` under the kNN model.
     pub fn posterior(&self, i: u32) -> f32 {
         let i = i as usize;
-        (self.prior_weight * self.priors[i] + self.pos_sum[i])
-            / (self.prior_weight + self.all_sum[i])
+        (PRIOR_WEIGHT * self.priors[i] + self.pos_sum[i]) / (PRIOR_WEIGHT + self.all_sum[i])
     }
 
     /// Record the label of vertex `i` and decrement the horizon.
@@ -198,8 +182,8 @@ impl EnsSearcher {
                     if self.labels[ju] >= 0 || j == i {
                         continue;
                     }
-                    let denom = self.prior_weight + self.all_sum[ju] + w;
-                    let base_num = self.prior_weight * self.priors[ju] + self.pos_sum[ju];
+                    let denom = PRIOR_WEIGHT + self.all_sum[ju] + w;
+                    let base_num = PRIOR_WEIGHT * self.priors[ju] + self.pos_sum[ju];
                     adj1.push((base_num + w) / denom);
                     adj0.push(base_num / denom);
                     if top_pos[ju] > 0 {
@@ -269,15 +253,7 @@ mod tests {
     }
 
     fn searcher(priors: Vec<f32>, horizon: usize) -> EnsSearcher {
-        EnsSearcher::new(
-            &clumped_graph(),
-            SigmaRule::MedianScale(1.0),
-            priors,
-            &EnsConfig {
-                prior_weight: 1.0,
-                horizon,
-            },
-        )
+        EnsSearcher::new(&clumped_graph(), priors, horizon)
     }
 
     #[test]

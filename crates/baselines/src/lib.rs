@@ -17,5 +17,5 @@ pub mod ens;
 mod proptests;
 pub mod rocchio;
 
-pub use ens::{EnsConfig, EnsSearcher};
-pub use rocchio::{Rocchio, RocchioConfig};
+pub use ens::EnsSearcher;
+pub use rocchio::Rocchio;

@@ -2,12 +2,12 @@
 
 #![cfg(test)]
 
-use crate::ens::{EnsConfig, EnsSearcher};
-use crate::rocchio::{Rocchio, RocchioConfig};
+use crate::ens::EnsSearcher;
+use crate::rocchio::Rocchio;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use seesaw_knn::{KnnGraph, SigmaRule};
+use seesaw_knn::KnnGraph;
 use seesaw_linalg::{l2_norm, random_unit_vector};
 
 proptest! {
@@ -18,14 +18,13 @@ proptest! {
         seed in 0u64..2000,
         n_pos in 0usize..5,
         n_neg in 0usize..5,
-        beta in 0.0f32..2.0,
-        gamma in 0.0f32..2.0,
     ) {
+        // The paper's weights, β = .5 and γ = .25.
+        let (beta, gamma) = (0.5f32, 0.25f32);
         let dim = 8;
         let mut rng = StdRng::seed_from_u64(seed);
         let q0 = random_unit_vector(&mut rng, dim);
-        let cfg = RocchioConfig { alpha: 1.0, beta, gamma };
-        let mut r = Rocchio::new(&q0, cfg);
+        let mut r = Rocchio::new(&q0);
         let pos: Vec<Vec<f32>> = (0..n_pos).map(|_| random_unit_vector(&mut rng, dim)).collect();
         let neg: Vec<Vec<f32>> = (0..n_neg).map(|_| random_unit_vector(&mut rng, dim)).collect();
         for p in &pos {
@@ -73,12 +72,7 @@ proptest! {
         }
         let graph = KnnGraph::brute_force(dim, &data, 4);
         let priors: Vec<f32> = (0..30).map(|i| (i as f32) / 30.0).collect();
-        let mut s = EnsSearcher::new(
-            &graph,
-            SigmaRule::SelfTuning(1.0),
-            priors,
-            &EnsConfig { prior_weight: 1.0, horizon: 20 },
-        );
+        let mut s = EnsSearcher::new(&graph, priors, 20);
         for (i, y) in observations {
             if !s.is_labeled(i) {
                 s.observe(i, y);
@@ -108,12 +102,7 @@ proptest! {
         let graph = KnnGraph::brute_force(dim, &data, 3);
         let mut priors = vec![0.1f32; 20];
         priors[7] = 0.9;
-        let s = EnsSearcher::new(
-            &graph,
-            SigmaRule::SelfTuning(1.0),
-            priors,
-            &EnsConfig { prior_weight: 1.0, horizon: 1 },
-        );
+        let s = EnsSearcher::new(&graph, priors, 1);
         prop_assert_eq!(s.select_next_excluding(|_| false), Some(7));
     }
 }

@@ -10,31 +10,15 @@
 
 use seesaw_linalg::{add_scaled, normalized};
 
-/// Rocchio term weights.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RocchioConfig {
-    /// Weight of the original query (paper: 1).
-    pub alpha: f32,
-    /// Weight of the mean relevant vector (paper: .5).
-    pub beta: f32,
-    /// Weight of the mean non-relevant vector (paper: .25).
-    pub gamma: f32,
-}
-
-impl Default for RocchioConfig {
-    fn default() -> Self {
-        Self {
-            alpha: 1.0,
-            beta: 0.5,
-            gamma: 0.25,
-        }
-    }
-}
+/// Weight of the mean relevant vector (paper: .5). The original query
+/// weighs α = 1.
+const BETA: f32 = 0.5;
+/// Weight of the mean non-relevant vector (paper: .25).
+const GAMMA: f32 = 0.25;
 
 /// Accumulates feedback and produces the Rocchio query vector.
 #[derive(Clone, Debug)]
 pub struct Rocchio {
-    config: RocchioConfig,
     q0: Vec<f32>,
     pos_sum: Vec<f32>,
     neg_sum: Vec<f32>,
@@ -44,9 +28,8 @@ pub struct Rocchio {
 
 impl Rocchio {
     /// Start from the text query `q0`.
-    pub fn new(q0: &[f32], config: RocchioConfig) -> Self {
+    pub fn new(q0: &[f32]) -> Self {
         Self {
-            config,
             q0: normalized(q0),
             pos_sum: vec![0.0; q0.len()],
             neg_sum: vec![0.0; q0.len()],
@@ -83,16 +66,12 @@ impl Rocchio {
     /// The current query vector (unit norm; equals `q₀` before any
     /// feedback).
     pub fn query(&self) -> Vec<f32> {
-        let mut q: Vec<f32> = self.q0.iter().map(|&v| v * self.config.alpha).collect();
+        let mut q = self.q0.clone();
         if self.n_pos > 0 {
-            add_scaled(&mut q, self.config.beta / self.n_pos as f32, &self.pos_sum);
+            add_scaled(&mut q, BETA / self.n_pos as f32, &self.pos_sum);
         }
         if self.n_neg > 0 {
-            add_scaled(
-                &mut q,
-                -self.config.gamma / self.n_neg as f32,
-                &self.neg_sum,
-            );
+            add_scaled(&mut q, -GAMMA / self.n_neg as f32, &self.neg_sum);
         }
         let out = normalized(&q);
         if out.iter().all(|&v| v == 0.0) {
@@ -110,7 +89,7 @@ mod tests {
 
     #[test]
     fn no_feedback_returns_q0() {
-        let r = Rocchio::new(&[0.6, 0.8], RocchioConfig::default());
+        let r = Rocchio::new(&[0.6, 0.8]);
         let q = r.query();
         assert!((dot(&q, &[0.6, 0.8]) - 1.0).abs() < 1e-5);
     }
@@ -118,7 +97,7 @@ mod tests {
     #[test]
     fn matches_closed_form() {
         let q0 = [1.0f32, 0.0, 0.0];
-        let mut r = Rocchio::new(&q0, RocchioConfig::default());
+        let mut r = Rocchio::new(&q0);
         r.add_feedback(&[0.0, 1.0, 0.0], true);
         r.add_feedback(&[0.0, 0.0, 1.0], true);
         r.add_feedback(&[0.0, -1.0, 0.0], false);
@@ -136,12 +115,12 @@ mod tests {
     fn positives_attract_negatives_repel() {
         let q0 = [1.0f32, 0.0];
         let target = [0.0f32, 1.0];
-        let mut r = Rocchio::new(&q0, RocchioConfig::default());
+        let mut r = Rocchio::new(&q0);
         r.add_feedback(&target, true);
         let q_after_pos = r.query();
         assert!(cosine(&q_after_pos, &target) > 0.0);
 
-        let mut r2 = Rocchio::new(&q0, RocchioConfig::default());
+        let mut r2 = Rocchio::new(&q0);
         r2.add_feedback(&target, false);
         let q_after_neg = r2.query();
         assert!(cosine(&q_after_neg, &target) < 0.0);
@@ -149,7 +128,7 @@ mod tests {
 
     #[test]
     fn output_is_unit_norm() {
-        let mut r = Rocchio::new(&[0.0, 1.0], RocchioConfig::default());
+        let mut r = Rocchio::new(&[0.0, 1.0]);
         r.add_feedback(&[1.0, 0.0], true);
         r.add_feedback(&[0.3, 0.3], false);
         assert!((l2_norm(&r.query()) - 1.0).abs() < 1e-5);
@@ -157,22 +136,17 @@ mod tests {
 
     #[test]
     fn cancellation_falls_back_to_q0() {
-        // α·q0 exactly cancelled by γ·mean(neg).
+        // α·q0 exactly cancelled by γ·mean(neg) = .25·(4, 0).
         let q0 = [1.0f32, 0.0];
-        let cfg = RocchioConfig {
-            alpha: 1.0,
-            beta: 0.0,
-            gamma: 1.0,
-        };
-        let mut r = Rocchio::new(&q0, cfg);
-        r.add_feedback(&[1.0, 0.0], false);
+        let mut r = Rocchio::new(&q0);
+        r.add_feedback(&[4.0, 0.0], false);
         let q = r.query();
         assert_eq!(q, q0.to_vec());
     }
 
     #[test]
     fn counts_are_tracked() {
-        let mut r = Rocchio::new(&[1.0, 0.0], RocchioConfig::default());
+        let mut r = Rocchio::new(&[1.0, 0.0]);
         r.add_feedback(&[0.0, 1.0], true);
         r.add_feedback(&[0.0, 1.0], false);
         r.add_feedback(&[1.0, 1.0], false);

@@ -38,14 +38,8 @@ pub fn bench_precision() -> RowPrecision {
 pub fn bench_store_config() -> StoreConfig {
     let cfg = match std::env::var("SEESAW_STORE") {
         Err(_) => PreprocessConfig::fast().store,
-        Ok(name) => match StoreConfig::from_backend_name(&name) {
-            // `forest` must mean the same bench-sized forest whether it
-            // is spelled out or left as the default, or explicit runs
-            // would not be comparable to default ones.
-            Some(StoreConfig::RpForest { .. }) => PreprocessConfig::fast().store,
-            Some(cfg) => cfg,
-            None => panic!("SEESAW_STORE={name:?}: expected forest, exact, or ivf"),
-        },
+        Ok(name) => PreprocessConfig::store_for_backend(&name)
+            .unwrap_or_else(|| panic!("SEESAW_STORE={name:?}: expected forest, exact, or ivf")),
     };
     cfg.with_precision(bench_precision())
 }

@@ -30,7 +30,9 @@ use crate::context::{
     bench_scale, bench_seed, bench_store_config, bench_suite, build_indexes, BuiltDataset,
     IndexNeeds,
 };
-use crate::usersim::{simulate_task_time, unit_mean_lognormal, AnnotationModel, UserSimConfig};
+use crate::usersim::{
+    simulate_task_time, unit_mean_lognormal, AnnotationModel, IMAGE_SIGMA, USER_SIGMA,
+};
 
 /// A factory producing a fresh `MethodConfig` per query (methods hold
 /// per-query state, so they cannot be shared across queries).
@@ -409,7 +411,6 @@ pub fn fig6() {
         target_results: 10,
         image_budget: 200,
     };
-    let sim = UserSimConfig::default();
 
     let mut table =
         TableBuilder::new("Figure 6 — time to find 10 results (s), 360 s cap").header([
@@ -434,7 +435,7 @@ pub fn fig6() {
                 (0..USERS)
                     .map(|u| {
                         let seed = 0xf16 ^ salt ^ (u as u64) << 8;
-                        simulate_task_time(&run.trace, &run.iteration_seconds, &model, &sim, seed)
+                        simulate_task_time(&run.trace, &run.iteration_seconds, &model, seed)
                     })
                     .collect()
             };
@@ -624,12 +625,11 @@ const PAPER_TABLE5_PM: [(f64, f64); 2] = [(0.10, 0.19), (0.28, 0.45)];
 /// Per-image annotation times for one condition across a simulated
 /// user population.
 fn sample_condition(mean: f64, users: usize, images_per_user: usize, seed: u64) -> Vec<f64> {
-    let cfg = UserSimConfig::default();
     let mut out = Vec::with_capacity(users * images_per_user);
     for u in 0..users {
         let mut rng = StdRng::seed_from_u64(seed ^ (u as u64).wrapping_mul(0x9e37));
-        let user_speed = unit_mean_lognormal(cfg.user_sigma).sample(&mut rng);
-        let image_noise = unit_mean_lognormal(cfg.image_sigma);
+        let user_speed = unit_mean_lognormal(USER_SIGMA).sample(&mut rng);
+        let image_noise = unit_mean_lognormal(IMAGE_SIGMA);
         for _ in 0..images_per_user {
             out.push(mean * user_speed * image_noise.sample(&mut rng));
         }
@@ -825,7 +825,7 @@ pub fn batch_size() {
     let mut table = TableBuilder::new("SeeSaw mAP vs feedback batch size").header([
         "batch",
         "mAP",
-        "mean solves/query",
+        "mean lookups/query",
     ]);
     for batch in [1usize, 3, 10, 30] {
         let runs: Vec<RunOutcome> = ds
@@ -836,12 +836,14 @@ pub fn batch_size() {
             })
             .collect();
         let aps: Vec<f64> = runs.iter().map(|r| r.ap).collect();
-        // Every feedback realigns the query, so solves = images shown.
-        let solves: usize = runs.iter().map(|r| r.trace.shown()).sum();
+        // One store lookup per batch (one `iteration_seconds` entry
+        // each). Solves would read images shown at every batch size:
+        // `try_feedback` realigns on every feedback, batched or not.
+        let lookups: usize = runs.iter().map(|r| r.iteration_seconds.len()).sum();
         table.row([
             batch.to_string(),
             format!("{:.3}", mean(&aps)),
-            format!("{:.1}", solves as f64 / runs.len() as f64),
+            format!("{:.1}", lookups as f64 / runs.len() as f64),
         ]);
     }
     println!("{table}");

@@ -43,29 +43,14 @@ impl AnnotationModel {
     }
 }
 
-/// Simulation parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct UserSimConfig {
-    /// Task deadline in seconds (paper: 360).
-    pub deadline: f64,
-    /// Results required to complete the task (paper: 10).
-    pub target_results: usize,
-    /// σ of the per-user lognormal speed factor.
-    pub user_sigma: f64,
-    /// σ of the per-image lognormal noise.
-    pub image_sigma: f64,
-}
-
-impl Default for UserSimConfig {
-    fn default() -> Self {
-        Self {
-            deadline: 360.0,
-            target_results: 10,
-            user_sigma: 0.25,
-            image_sigma: 0.35,
-        }
-    }
-}
+/// Task deadline in seconds (paper: 360).
+const DEADLINE: f64 = 360.0;
+/// Results required to complete the task (paper: 10).
+const TARGET_RESULTS: usize = 10;
+/// σ of the per-user lognormal speed factor.
+pub(crate) const USER_SIGMA: f64 = 0.25;
+/// σ of the per-image lognormal noise.
+pub(crate) const IMAGE_SIGMA: f64 = 0.35;
 
 /// A lognormal with **unit mean** (`exp(−σ²/2 + σZ)`), so noise scales
 /// the paper's measured means without biasing them.
@@ -74,19 +59,18 @@ pub fn unit_mean_lognormal(sigma: f64) -> LogNormal<f64> {
 }
 
 /// Simulate one user working through a search trace: returns the time
-/// (seconds, capped at the deadline) until `target_results` relevant
-/// images were marked. `latencies` gives the measured per-iteration
+/// (seconds, capped at the 360 s deadline) until 10 relevant images
+/// were marked. `latencies` gives the measured per-iteration
 /// system time (shorter slices are cycled; empty means zero latency).
 pub fn simulate_task_time(
     trace: &SearchTrace,
     latencies: &[f64],
     model: &AnnotationModel,
-    cfg: &UserSimConfig,
     seed: u64,
 ) -> f64 {
     let mut rng = StdRng::seed_from_u64(seed);
-    let user_speed = unit_mean_lognormal(cfg.user_sigma).sample(&mut rng);
-    let image_noise = unit_mean_lognormal(cfg.image_sigma);
+    let user_speed = unit_mean_lognormal(USER_SIGMA).sample(&mut rng);
+    let image_noise = unit_mean_lognormal(IMAGE_SIGMA);
     let mut t = 0.0f64;
     let mut found = 0usize;
     for (i, &relevant) in trace.relevance.iter().enumerate() {
@@ -99,18 +83,18 @@ pub fn simulate_task_time(
             model.not_marked
         };
         t += mean * user_speed * image_noise.sample(&mut rng);
-        if t >= cfg.deadline {
-            return cfg.deadline;
+        if t >= DEADLINE {
+            return DEADLINE;
         }
         if relevant {
             found += 1;
-            if found >= cfg.target_results {
+            if found >= TARGET_RESULTS {
                 return t;
             }
         }
     }
     // Ran out of trace before finding enough: the user never completes.
-    cfg.deadline
+    DEADLINE
 }
 
 #[cfg(test)]
@@ -123,13 +107,7 @@ mod tests {
 
     #[test]
     fn fast_task_completes_before_deadline() {
-        let t = simulate_task_time(
-            &all_relevant(10),
-            &[0.1],
-            &AnnotationModel::baseline(),
-            &UserSimConfig::default(),
-            1,
-        );
+        let t = simulate_task_time(&all_relevant(10), &[0.1], &AnnotationModel::baseline(), 1);
         assert!(t < 360.0);
         assert!(t > 10.0 * 1.0, "ten marked images cost real time: {t}");
     }
@@ -137,13 +115,7 @@ mod tests {
     #[test]
     fn hopeless_trace_hits_deadline() {
         let trace = SearchTrace::new(vec![false; 30]);
-        let t = simulate_task_time(
-            &trace,
-            &[],
-            &AnnotationModel::seesaw(),
-            &UserSimConfig::default(),
-            2,
-        );
+        let t = simulate_task_time(&trace, &[], &AnnotationModel::seesaw(), 2);
         assert_eq!(t, 360.0);
     }
 
@@ -154,40 +126,16 @@ mod tests {
         // observation that "SeeSaw can be slower than the baseline" on
         // easy queries.
         let trace = all_relevant(10);
-        let base = simulate_task_time(
-            &trace,
-            &[],
-            &AnnotationModel::baseline(),
-            &UserSimConfig::default(),
-            3,
-        );
-        let ss = simulate_task_time(
-            &trace,
-            &[],
-            &AnnotationModel::seesaw(),
-            &UserSimConfig::default(),
-            3,
-        );
+        let base = simulate_task_time(&trace, &[], &AnnotationModel::baseline(), 3);
+        let ss = simulate_task_time(&trace, &[], &AnnotationModel::seesaw(), 3);
         assert!(ss > base, "seesaw {ss} vs baseline {base}");
     }
 
     #[test]
     fn deterministic_per_seed() {
         let trace = all_relevant(10);
-        let a = simulate_task_time(
-            &trace,
-            &[0.2],
-            &AnnotationModel::baseline(),
-            &UserSimConfig::default(),
-            9,
-        );
-        let b = simulate_task_time(
-            &trace,
-            &[0.2],
-            &AnnotationModel::baseline(),
-            &UserSimConfig::default(),
-            9,
-        );
+        let a = simulate_task_time(&trace, &[0.2], &AnnotationModel::baseline(), 9);
+        let b = simulate_task_time(&trace, &[0.2], &AnnotationModel::baseline(), 9);
         assert_eq!(a, b);
     }
 }

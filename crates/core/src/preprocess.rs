@@ -9,29 +9,29 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use seesaw_aligner::{compute_db_matrix, DbMatrixConfig};
+use seesaw_aligner::{compute_db_matrix, db_matrix_from_adjacency, DbMatrixConfig};
 use seesaw_dataset::SyntheticDataset;
-use seesaw_knn::{gaussian_adjacency, KnnGraph, NnDescentConfig, SigmaRule};
+use seesaw_knn::{gaussian_adjacency, KnnGraph};
 use seesaw_linalg::DenseMatrix;
 use seesaw_vecstore::{RpForestConfig, StoreConfig};
 
 use crate::index::{DatasetIndex, PatchMeta};
-use crate::tiling::{tile_boxes, tile_content, CLIP_INPUT_PX};
+use crate::tiling::{tile_boxes, tile_content};
+
+/// Degree of the coarse kNN graph ENS searches over. The paper uses
+/// k = 20 (§5.4); this reproduction builds 8.
+const ENS_KNN_K: usize = 8;
 
 /// Preprocessing configuration.
 #[derive(Clone, Debug)]
 pub struct PreprocessConfig {
     /// Multiscale tiling on (§4.3) or coarse-only embeddings.
     pub multiscale: bool,
-    /// Minimum fine-tile side in pixels (CLIP's 224 by default).
-    pub min_patch_px: u32,
     /// Vector-store backend and build parameters (exact, RP forest, or
     /// IVF).
     pub store: StoreConfig,
     /// kNN degree for the DB-alignment graph (paper: 10).
     pub knn_k: usize,
-    /// Gaussian bandwidth rule for graph weights.
-    pub sigma: SigmaRule,
     /// Compute `M_D` (needed by SeeSaw's DB alignment).
     pub build_db_matrix: bool,
     /// Compute `M_D` from a subsample of this many vectors instead of
@@ -41,42 +41,21 @@ pub struct PreprocessConfig {
     pub db_matrix_sample: Option<usize>,
     /// Keep the full patch adjacency (needed by the `prop.` variant).
     pub build_propagation: bool,
-    /// Build the coarse kNN graph (needed by ENS; paper uses k = 20).
+    /// Build the coarse kNN graph (needed by ENS).
     pub build_coarse_graph: bool,
-    /// ENS graph degree.
-    pub ens_knn_k: usize,
-    /// NN-descent settings shared by the graph builds.
-    pub nn_descent: NnDescentConfig,
-    /// Worker threads for the embedding pass (0 = all cores).
-    pub threads: usize,
     /// Seed for embedding noise and index construction.
     pub seed: u64,
 }
 
-impl Default for PreprocessConfig {
-    fn default() -> Self {
-        Self {
-            multiscale: true,
-            min_patch_px: CLIP_INPUT_PX,
-            store: StoreConfig::default(),
-            knn_k: 10,
-            sigma: SigmaRule::SelfTuning(1.0),
-            build_db_matrix: true,
-            db_matrix_sample: None,
-            build_propagation: true,
-            build_coarse_graph: true,
-            ens_knn_k: 20,
-            nn_descent: NnDescentConfig::default(),
-            threads: 0,
-            seed: 0x9e3,
-        }
-    }
-}
-
 impl PreprocessConfig {
-    /// Everything on, sized for tests and examples (smaller forest).
+    /// Everything on: multiscale tiles, a 24-tree RP forest, `M_D` over
+    /// every vector with k = 6, the propagation adjacency and the ENS
+    /// graph. The one constructor: `serve`, the benchmark, `paper`, the
+    /// examples and the tests all start here and switch off or resize
+    /// what they do not need.
     pub fn fast() -> Self {
         Self {
+            multiscale: true,
             store: StoreConfig::forest(RpForestConfig {
                 n_trees: 24,
                 leaf_size: 16,
@@ -84,8 +63,22 @@ impl PreprocessConfig {
                 ..RpForestConfig::default()
             }),
             knn_k: 6,
-            ens_knn_k: 8,
-            ..Self::default()
+            build_db_matrix: true,
+            db_matrix_sample: None,
+            build_propagation: true,
+            build_coarse_graph: true,
+            seed: 0x9e3,
+        }
+    }
+
+    /// The store a fresh build uses for a backend name (`exact` /
+    /// `forest` / `ivf`, as [`StoreConfig::from_backend_name`] parses
+    /// them). `forest` is [`Self::fast`]'s forest, so naming the default
+    /// backend builds the default store. `None` for an unknown name.
+    pub fn store_for_backend(name: &str) -> Option<StoreConfig> {
+        match StoreConfig::from_backend_name(name)? {
+            StoreConfig::RpForest { .. } => Some(Self::fast().store),
+            other => Some(other),
         }
     }
 
@@ -104,7 +97,7 @@ impl PreprocessConfig {
 }
 
 /// Runs the preprocessing pass.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct Preprocessor {
     config: PreprocessConfig,
 }
@@ -137,7 +130,7 @@ impl Preprocessor {
         for img in &dataset.images {
             let start = patches.len() as u32;
             let boxes = if cfg.multiscale {
-                tile_boxes(img.width, img.height, cfg.min_patch_px)
+                tile_boxes(img.width, img.height)
             } else {
                 vec![img.full_box()]
             };
@@ -154,14 +147,10 @@ impl Preprocessor {
 
         let mut embeddings = vec![0.0f32; n_patches * dim];
         {
-            let threads = if cfg.threads == 0 {
-                std::thread::available_parallelism()
-                    .map(|p| p.get())
-                    .unwrap_or(4)
-            } else {
-                cfg.threads
-            };
-            let chunk = n_images.div_ceil(threads.max(1)).max(1);
+            let threads = std::thread::available_parallelism()
+                .map(|p| p.get())
+                .unwrap_or(4);
+            let chunk = n_images.div_ceil(threads).max(1);
             // Split the output buffer into per-image slices up front so
             // worker threads write disjoint regions safely.
             let mut slices: Vec<&mut [f32]> = Vec::with_capacity(n_images);
@@ -185,7 +174,7 @@ impl Preprocessor {
                                 seed ^ (img.id as u64).wrapping_mul(0x9e37_79b9),
                             );
                             let boxes = if cfg.multiscale {
-                                tile_boxes(img.width, img.height, cfg.min_patch_px)
+                                tile_boxes(img.width, img.height)
                             } else {
                                 vec![img.full_box()]
                             };
@@ -247,16 +236,10 @@ pub(crate) fn build_graph_artifacts(
         graph_feasible && (cfg.build_propagation || (build_m_d && cfg.db_matrix_sample.is_none()));
     let mut patch_adjacency = None;
     if want_full_graph {
-        let graph = KnnGraph::nn_descent(dim, embeddings, cfg.knn_k, &cfg.nn_descent);
-        let adjacency = gaussian_adjacency(&graph, cfg.sigma);
+        let graph = KnnGraph::nn_descent(dim, embeddings, cfg.knn_k);
+        let adjacency = gaussian_adjacency(&graph);
         if build_m_d && cfg.db_matrix_sample.is_none() {
-            let lap = seesaw_knn::laplacian(&adjacency);
-            let x = DenseMatrix::from_vec(n_patches, dim, embeddings.to_vec());
-            let mut m = lap.xtax(&x);
-            let n_edges = (adjacency.nnz() / 2).max(1);
-            m.scale(1.0 / n_edges as f32);
-            m.symmetrize();
-            m_d = Some(m);
+            m_d = Some(db_matrix_from_adjacency(dim, embeddings, &adjacency));
         }
         if cfg.build_propagation {
             patch_adjacency = Some(adjacency);
@@ -268,27 +251,19 @@ pub(crate) fn build_graph_artifacts(
             embeddings,
             &DbMatrixConfig {
                 k: cfg.knn_k,
-                sigma: cfg.sigma,
                 sample: cfg.db_matrix_sample,
-                normalize_by_edges: true,
-                nn_descent: cfg.nn_descent.clone(),
                 seed: cfg.seed,
             },
         ));
     }
 
     // --- coarse graph for ENS -------------------------------------
-    let coarse_graph = if cfg.build_coarse_graph && n_images > cfg.ens_knn_k + 2 {
+    let coarse_graph = if cfg.build_coarse_graph && n_images > ENS_KNN_K + 2 {
         let mut coarse_data = Vec::with_capacity(n_images * dim);
         for &p in coarse_patches {
             coarse_data.extend_from_slice(&embeddings[p as usize * dim..(p as usize + 1) * dim]);
         }
-        Some(KnnGraph::nn_descent(
-            dim,
-            &coarse_data,
-            cfg.ens_knn_k,
-            &cfg.nn_descent,
-        ))
+        Some(KnnGraph::nn_descent(dim, &coarse_data, ENS_KNN_K))
     } else {
         None
     };
@@ -411,6 +386,30 @@ mod tests {
         assert!(full.patch_adjacency.is_some());
         assert!(full.coarse_graph.is_some());
         assert_eq!(full.m_d.as_ref().unwrap().rows(), full.dim);
+    }
+
+    #[test]
+    fn shared_graph_m_d_is_the_stand_alone_formula() {
+        // With the propagation adjacency on and no subsample, `M_D`
+        // reuses the propagation graph; it must be bitwise the matrix
+        // `compute_db_matrix` builds from the same embeddings.
+        let ds = small_dataset();
+        let cfg = PreprocessConfig::fast();
+        assert!(cfg.build_propagation && cfg.db_matrix_sample.is_none());
+        let idx = Preprocessor::new(cfg.clone()).build(&ds);
+        let expect = compute_db_matrix(
+            idx.dim,
+            idx.embeddings.as_slice(),
+            &DbMatrixConfig {
+                k: cfg.knn_k,
+                sample: None,
+                seed: cfg.seed,
+            },
+        );
+        let bits = |m: &DenseMatrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let m_d = idx.m_d.as_ref().expect("fast() builds M_D");
+        assert_eq!((m_d.rows(), m_d.cols()), (idx.dim, idx.dim));
+        assert_eq!(bits(m_d), bits(&expect));
     }
 
     #[test]

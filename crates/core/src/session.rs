@@ -18,10 +18,10 @@
 //! variant (`prop.`, the Table 6 comparator).
 
 use seesaw_aligner::{AlignerConfig, QueryAligner};
-use seesaw_baselines::{EnsConfig, EnsSearcher, Rocchio, RocchioConfig};
+use seesaw_baselines::{EnsSearcher, Rocchio};
 use seesaw_dataset::{ImageId, SyntheticDataset};
 use seesaw_embed::ConceptId;
-use seesaw_knn::{propagate_labels, LabelPropConfig, SigmaRule};
+use seesaw_knn::propagate_labels;
 use seesaw_linalg::normalized;
 use seesaw_vecstore::VectorStore;
 use std::sync::Arc;
@@ -37,8 +37,8 @@ pub enum Method {
     /// A caller-supplied fixed query vector (used for the Fig. 4 ideal
     /// vector and diagnostics).
     FixedVector(Vec<f32>),
-    /// Rocchio's algorithm (Eq. 6).
-    Rocchio(RocchioConfig),
+    /// Rocchio's algorithm (Eq. 6) with the paper's β = .5, γ = .25.
+    Rocchio,
     /// Efficient Nonmyopic Search over coarse embeddings, with CLIP
     /// priors; `priors` overrides them (Platt-calibrated variant).
     Ens {
@@ -46,8 +46,6 @@ pub enum Method {
         horizon: usize,
         /// Optional calibrated per-image priors (Table 4 second row).
         priors: Option<Vec<f32>>,
-        /// Bandwidth rule for the ENS kNN weights.
-        sigma: SigmaRule,
     },
     /// The SeeSaw aligner. With `lambda_c = lambda_d = 0` it is
     /// few-shot CLIP (Eq. 1); DB alignment activates when the index
@@ -55,16 +53,14 @@ pub enum Method {
     SeeSaw(AlignerConfig),
     /// SeeSaw with explicit label propagation every round — the
     /// interactivity comparator of Table 6 (§4.2 explains why this is
-    /// the slow path).
-    SeeSawProp {
-        /// Aligner settings for the fit on propagated labels.
-        aligner: AlignerConfig,
-        /// Propagation settings.
-        prop: LabelPropConfig,
-        /// How many pseudo-labeled vectors to fit on.
-        fit_sample: usize,
-    },
+    /// the slow path). It fits the CLIP-alignment-only aligner
+    /// ([`AlignerConfig::clip_only`]) on [`PROP_FIT_SAMPLE`]
+    /// pseudo-labeled vectors.
+    SeeSawProp,
 }
+
+/// How many pseudo-labeled vectors [`Method::SeeSawProp`] fits on.
+const PROP_FIT_SAMPLE: usize = 2000;
 
 /// A method plus the lookup budget.
 #[derive(Clone, Debug)]
@@ -97,7 +93,7 @@ impl MethodConfig {
     /// Rocchio with the paper's β = .5, γ = .25.
     pub fn rocchio() -> Self {
         Self {
-            method: Method::Rocchio(RocchioConfig::default()),
+            method: Method::Rocchio,
             search_k: 8192,
         }
     }
@@ -109,7 +105,6 @@ impl MethodConfig {
             method: Method::Ens {
                 horizon,
                 priors: None,
-                sigma: SigmaRule::SelfTuning(1.0),
             },
             search_k: 8192,
         }
@@ -121,7 +116,6 @@ impl MethodConfig {
             method: Method::Ens {
                 horizon,
                 priors: Some(priors),
-                sigma: SigmaRule::SelfTuning(1.0),
             },
             search_k: 8192,
         }
@@ -155,11 +149,7 @@ impl MethodConfig {
     /// The propagation-based variant (Table 6 `prop.` column).
     pub fn seesaw_prop() -> Self {
         Self {
-            method: Method::SeeSawProp {
-                aligner: AlignerConfig::clip_only(),
-                prop: LabelPropConfig::default(),
-                fit_sample: 2000,
-            },
+            method: Method::SeeSawProp,
             search_k: 8192,
         }
     }
@@ -176,12 +166,7 @@ enum State {
     Rocchio(Rocchio),
     Ens(Box<EnsSearcher>),
     Aligner(QueryAligner),
-    Prop {
-        aligner: AlignerConfig,
-        prop: LabelPropConfig,
-        fit_sample: usize,
-        round: u64,
-    },
+    Prop { round: u64 },
 }
 
 /// One running query against one index.
@@ -239,12 +224,8 @@ impl Session {
                 let v = normalized(&v);
                 (State::Fixed, v)
             }
-            Method::Rocchio(cfg) => (State::Rocchio(Rocchio::new(&q0, cfg)), q0.clone()),
-            Method::Ens {
-                horizon,
-                priors,
-                sigma,
-            } => {
+            Method::Rocchio => (State::Rocchio(Rocchio::new(&q0)), q0.clone()),
+            Method::Ens { horizon, priors } => {
                 let graph = index
                     .coarse_graph
                     .as_ref()
@@ -266,15 +247,7 @@ impl Session {
                         .map(|s| s.clamp(0.001, 0.999))
                         .collect()
                 });
-                let searcher = EnsSearcher::new(
-                    graph,
-                    sigma,
-                    priors,
-                    &EnsConfig {
-                        prior_weight: 1.0,
-                        horizon,
-                    },
-                );
+                let searcher = EnsSearcher::new(graph, priors, horizon);
                 (State::Ens(Box::new(searcher)), q0.clone())
             }
             Method::SeeSaw(cfg) => {
@@ -286,19 +259,7 @@ impl Session {
                 }
                 (State::Aligner(aligner), q0.clone())
             }
-            Method::SeeSawProp {
-                aligner,
-                prop,
-                fit_sample,
-            } => (
-                State::Prop {
-                    aligner,
-                    prop,
-                    fit_sample,
-                    round: 0,
-                },
-                q0.clone(),
-            ),
+            Method::SeeSawProp => (State::Prop { round: 0 }, q0.clone()),
         };
         Self {
             index: Arc::clone(index),
@@ -499,21 +460,13 @@ impl Session {
                     self.realign();
                 }
             }
-            State::Prop {
-                aligner,
-                prop,
-                fit_sample,
-                round,
-            } => {
+            State::Prop { round } => {
                 *round += 1;
                 self.query = prop_align(
                     &self.index,
                     &self.q0,
                     &self.example_patches,
                     &self.example_labels,
-                    aligner,
-                    prop,
-                    *fit_sample,
                     *round,
                 );
             }
@@ -548,16 +501,13 @@ fn rank_candidates(ranked: &mut [(u32, f32)]) {
 
 /// The propagation-based `query_align`: run label propagation over the
 /// full patch graph (the expensive part: O(iterations × edges) per
-/// round), then fit the aligner on a pseudo-labeled sample.
-#[allow(clippy::too_many_arguments)]
+/// round), then fit the CLIP-aligned aligner on a pseudo-labeled
+/// sample of [`PROP_FIT_SAMPLE`] vectors.
 fn prop_align(
     index: &DatasetIndex,
     q0: &[f32],
     example_patches: &[u32],
     example_labels: &[bool],
-    aligner_cfg: &AlignerConfig,
-    prop_cfg: &LabelPropConfig,
-    fit_sample: usize,
     round: u64,
 ) -> Vec<f32> {
     use rand::rngs::StdRng;
@@ -565,7 +515,7 @@ fn prop_align(
 
     let Some(adjacency) = &index.patch_adjacency else {
         // No propagation structure: degrade to plain aligner behaviour.
-        let aligner = QueryAligner::new(q0, aligner_cfg.clone());
+        let aligner = QueryAligner::new(q0, AlignerConfig::clip_only());
         let examples: Vec<&[f32]> = example_patches
             .iter()
             .map(|&p| index.patch_vector(p))
@@ -578,7 +528,7 @@ fn prop_align(
         .zip(example_labels.iter())
         .map(|(&p, &y)| (p, y as u8 as f32))
         .collect();
-    let yhat = propagate_labels(adjacency, &labeled, prop_cfg);
+    let yhat = propagate_labels(adjacency, &labeled);
 
     // Pseudo-labeled fit set: the true labels, the strongest propagated
     // positives, and a random background sample as negatives.
@@ -601,7 +551,7 @@ fn prop_align(
         .map(|(p, &v)| (p as u32, v))
         .collect();
     rank_candidates(&mut ranked);
-    ranked.truncate(fit_sample / 2);
+    ranked.truncate(PROP_FIT_SAMPLE / 2);
 
     let mut rng = StdRng::seed_from_u64(0x9e0b ^ round);
     let mut sample_patches: Vec<u32> = example_patches.to_vec();
@@ -610,7 +560,7 @@ fn prop_align(
         sample_patches.push(*p);
         sample_labels.push(true);
     }
-    let n_background = (fit_sample / 2).min(index.n_patches());
+    let n_background = (PROP_FIT_SAMPLE / 2).min(index.n_patches());
     for _ in 0..n_background {
         let p = rng.gen_range(0..index.n_patches()) as u32;
         if !is_labeled[p as usize] {
@@ -623,7 +573,7 @@ fn prop_align(
         .iter()
         .map(|&p| index.patch_vector(p))
         .collect();
-    QueryAligner::new(q0, aligner_cfg.clone()).align(&examples, &sample_labels)
+    QueryAligner::new(q0, AlignerConfig::clip_only()).align(&examples, &sample_labels)
 }
 
 #[cfg(test)]

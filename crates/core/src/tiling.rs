@@ -16,11 +16,12 @@ use seesaw_embed::{ObjectPresence, PatchContent};
 pub const CLIP_INPUT_PX: u32 = 224;
 
 /// The tile boxes of one image: the coarse (full-image) tile first,
-/// then the half-scale grid when the image is large enough.
-pub fn tile_boxes(width: u32, height: u32, min_patch_px: u32) -> Vec<BBox> {
+/// then the half-scale grid when its tiles are at least
+/// [`CLIP_INPUT_PX`] on a side.
+pub fn tile_boxes(width: u32, height: u32) -> Vec<BBox> {
     let mut tiles = vec![BBox::new(0.0, 0.0, width as f32, height as f32)];
     let side = width.min(height) / 2;
-    if side < min_patch_px.max(1) {
+    if side < CLIP_INPUT_PX {
         return tiles;
     }
     let stride = (side / 2).max(1);
@@ -74,7 +75,7 @@ mod tests {
 
     #[test]
     fn paper_example_448_gives_ten_tiles() {
-        let tiles = tile_boxes(448, 448, CLIP_INPUT_PX);
+        let tiles = tile_boxes(448, 448);
         assert_eq!(tiles.len(), 10, "1 coarse + 9 fine");
         // Coarse first, full image.
         assert_eq!(tiles[0].w, 448.0);
@@ -85,14 +86,14 @@ mod tests {
 
     #[test]
     fn small_image_only_coarse() {
-        let tiles = tile_boxes(224, 224, CLIP_INPUT_PX);
+        let tiles = tile_boxes(224, 224);
         assert_eq!(tiles.len(), 1);
     }
 
     #[test]
     fn wide_image_adds_tiles_along_wide_dimension() {
         // 1280×720: side = 360, stride = 180 → nx = 6, ny = 3 → 18 + 1.
-        let tiles = tile_boxes(1280, 720, CLIP_INPUT_PX);
+        let tiles = tile_boxes(1280, 720);
         assert_eq!(tiles.len(), 19);
         // All tiles stay inside the image.
         for t in &tiles {
@@ -105,7 +106,7 @@ mod tests {
     #[test]
     fn grid_covers_the_image() {
         // Union of fine tiles must reach every corner region.
-        let tiles = tile_boxes(896, 896, CLIP_INPUT_PX);
+        let tiles = tile_boxes(896, 896);
         let corners = [
             BBox::new(0.0, 0.0, 1.0, 1.0),
             BBox::new(895.0, 0.0, 1.0, 1.0),

@@ -111,17 +111,6 @@ impl KnnGraph {
         &self.distances[i * self.k..(i + 1) * self.k]
     }
 
-    /// Median neighbour distance over the whole graph (used by the
-    /// adaptive sigma rule).
-    pub fn median_distance(&self) -> f32 {
-        if self.distances.is_empty() {
-            return 0.0;
-        }
-        let mut all = self.distances.clone();
-        all.sort_unstable_by(|a, b| a.total_cmp(b));
-        all[all.len() / 2]
-    }
-
     /// Distribution statistics of the graph — used by diagnostics and
     /// the preprocessing logs.
     pub fn stats(&self) -> GraphStats {
@@ -204,13 +193,6 @@ mod tests {
     fn recall_of_identical_graph_is_one() {
         let g = KnnGraph::brute_force(1, &line_data(), 2);
         assert_eq!(g.edge_recall_against(&g), 1.0);
-    }
-
-    #[test]
-    fn median_distance_is_sane() {
-        let g = KnnGraph::brute_force(1, &line_data(), 1);
-        let m = g.median_distance();
-        assert!(m > 0.0 && m < 4.0);
     }
 
     #[test]

@@ -13,46 +13,26 @@
 
 use seesaw_linalg::CsrMatrix;
 
-/// Convergence controls for [`propagate_labels`].
-#[derive(Clone, Debug)]
-pub struct LabelPropConfig {
-    /// Maximum sweeps over the graph.
-    pub max_iters: usize,
-    /// Stop when the largest per-node change falls below this.
-    pub tolerance: f32,
-    /// Initial value for unlabeled nodes (the prior; positives are rare
-    /// in search, so a small value is appropriate).
-    pub unlabeled_init: f32,
-}
-
-impl Default for LabelPropConfig {
-    fn default() -> Self {
-        Self {
-            max_iters: 30,
-            tolerance: 1e-4,
-            unlabeled_init: 0.0,
-        }
-    }
-}
+/// Maximum sweeps over the graph.
+const MAX_ITERS: usize = 30;
+/// Stop when the largest per-node change falls below this.
+const TOLERANCE: f32 = 1e-4;
 
 /// Propagate the clamped `labels` (node id, value in `[0, 1]`) over the
-/// symmetric weighted adjacency. Returns the soft label of every node.
+/// symmetric weighted adjacency. Returns the soft label of every node;
+/// unlabeled nodes start at 0, since positives are rare in search.
 ///
 /// # Panics
 /// Panics when the adjacency is not square or a label id is out of
 /// bounds.
-pub fn propagate_labels(
-    adjacency: &CsrMatrix,
-    labels: &[(u32, f32)],
-    cfg: &LabelPropConfig,
-) -> Vec<f32> {
+pub fn propagate_labels(adjacency: &CsrMatrix, labels: &[(u32, f32)]) -> Vec<f32> {
     assert_eq!(
         adjacency.rows(),
         adjacency.cols(),
         "adjacency must be square"
     );
     let n = adjacency.rows();
-    let mut y = vec![cfg.unlabeled_init; n];
+    let mut y = vec![0.0f32; n];
     let mut clamped = vec![false; n];
     for &(id, v) in labels {
         assert!((id as usize) < n, "label id {id} out of bounds");
@@ -64,7 +44,7 @@ pub fn propagate_labels(
     }
     let degrees = adjacency.row_sums();
     let mut next = y.clone();
-    for _ in 0..cfg.max_iters {
+    for _ in 0..MAX_ITERS {
         let mut max_delta = 0.0f32;
         for i in 0..n {
             if clamped[i] {
@@ -85,7 +65,7 @@ pub fn propagate_labels(
             next[i] = v;
         }
         std::mem::swap(&mut y, &mut next);
-        if max_delta < cfg.tolerance {
+        if max_delta < TOLERANCE {
             break;
         }
     }
@@ -96,19 +76,19 @@ pub fn propagate_labels(
 mod tests {
     use super::*;
     use crate::graph::KnnGraph;
-    use crate::weights::{gaussian_adjacency, SigmaRule};
+    use crate::weights::gaussian_adjacency;
 
     /// Two tight clusters on a line with one label each.
     fn two_cluster_adjacency() -> CsrMatrix {
         let data = [0.0f32, 0.1, 0.2, 5.0, 5.1, 5.2];
         let g = KnnGraph::brute_force(1, &data, 2);
-        gaussian_adjacency(&g, SigmaRule::MedianScale(1.0))
+        gaussian_adjacency(&g)
     }
 
     #[test]
     fn labels_spread_within_clusters() {
         let w = two_cluster_adjacency();
-        let y = propagate_labels(&w, &[(0, 1.0), (3, 0.0)], &LabelPropConfig::default());
+        let y = propagate_labels(&w, &[(0, 1.0), (3, 0.0)]);
         // Cluster of node 0 should be near 1, cluster of node 3 near 0.
         assert!(y[1] > 0.8, "{y:?}");
         assert!(y[2] > 0.8, "{y:?}");
@@ -119,7 +99,7 @@ mod tests {
     #[test]
     fn clamped_nodes_keep_their_labels() {
         let w = two_cluster_adjacency();
-        let y = propagate_labels(&w, &[(0, 1.0), (3, 0.0)], &LabelPropConfig::default());
+        let y = propagate_labels(&w, &[(0, 1.0), (3, 0.0)]);
         assert_eq!(y[0], 1.0);
         assert_eq!(y[3], 0.0);
     }
@@ -127,18 +107,14 @@ mod tests {
     #[test]
     fn no_labels_returns_prior() {
         let w = two_cluster_adjacency();
-        let cfg = LabelPropConfig {
-            unlabeled_init: 0.25,
-            ..Default::default()
-        };
-        let y = propagate_labels(&w, &[], &cfg);
-        assert!(y.iter().all(|&v| v == 0.25));
+        let y = propagate_labels(&w, &[]);
+        assert!(y.iter().all(|&v| v == 0.0));
     }
 
     #[test]
     fn values_stay_in_unit_interval() {
         let w = two_cluster_adjacency();
-        let y = propagate_labels(&w, &[(0, 1.0), (5, 0.0)], &LabelPropConfig::default());
+        let y = propagate_labels(&w, &[(0, 1.0), (5, 0.0)]);
         for v in y {
             assert!((0.0..=1.0).contains(&v), "{v}");
         }
@@ -149,12 +125,7 @@ mod tests {
         // At convergence, every unlabeled node equals the weighted mean
         // of its neighbours.
         let w = two_cluster_adjacency();
-        let cfg = LabelPropConfig {
-            max_iters: 500,
-            tolerance: 1e-7,
-            unlabeled_init: 0.0,
-        };
-        let y = propagate_labels(&w, &[(0, 1.0), (3, 0.0)], &cfg);
+        let y = propagate_labels(&w, &[(0, 1.0), (3, 0.0)]);
         let degrees = w.row_sums();
         for i in [1usize, 2, 4, 5] {
             let mut acc = 0.0f32;

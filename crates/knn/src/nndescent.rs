@@ -13,30 +13,13 @@ use seesaw_linalg::squared_euclidean;
 
 use crate::graph::KnnGraph;
 
-/// Tuning for [`KnnGraph::nn_descent`].
-#[derive(Clone, Debug)]
-pub struct NnDescentConfig {
-    /// Sampling rate ρ of old neighbours per round (Dong et al. use 0.5
-    /// or 1.0).
-    pub sample_rate: f64,
-    /// Stop when fewer than `delta · n · k` updates happen in a round.
-    pub delta: f64,
-    /// Hard cap on rounds.
-    pub max_rounds: usize,
-    /// RNG seed for initialization and sampling.
-    pub seed: u64,
-}
-
-impl Default for NnDescentConfig {
-    fn default() -> Self {
-        Self {
-            sample_rate: 1.0,
-            delta: 0.002,
-            max_rounds: 12,
-            seed: 0xdecc,
-        }
-    }
-}
+/// Stop when fewer than `DELTA · n · k` updates happen in a round
+/// (Dong et al.'s early-termination δ).
+const DELTA: f64 = 0.002;
+/// Hard cap on rounds.
+const MAX_ROUNDS: usize = 12;
+/// RNG seed for the random initial neighbour lists.
+const SEED: u64 = 0xdecc;
 
 /// One entry in a node's neighbour heap.
 #[derive(Clone, Copy, Debug)]
@@ -89,12 +72,13 @@ impl NeighborList {
 }
 
 impl KnnGraph {
-    /// Build an approximate kNN graph with NN-descent.
+    /// Build an approximate kNN graph with NN-descent. Every new
+    /// neighbour joins each round (Dong et al.'s sampling rate ρ = 1).
     ///
     /// # Panics
     /// Panics on an invalid `k` or a buffer that is not a multiple of
     /// `dim`.
-    pub fn nn_descent(dim: usize, data: &[f32], k: usize, cfg: &NnDescentConfig) -> Self {
+    pub fn nn_descent(dim: usize, data: &[f32], k: usize) -> Self {
         assert!(dim > 0, "dimension must be positive");
         assert_eq!(data.len() % dim, 0, "buffer is not a multiple of dim");
         let n = data.len() / dim;
@@ -107,7 +91,7 @@ impl KnnGraph {
         }
 
         let vec_of = |i: usize| &data[i * dim..(i + 1) * dim];
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let mut rng = StdRng::seed_from_u64(SEED);
 
         // Random initialization.
         let mut lists: Vec<NeighborList> = (0..n).map(|_| NeighborList::new(k)).collect();
@@ -126,8 +110,8 @@ impl KnnGraph {
             }
         }
 
-        let stop_threshold = (cfg.delta * n as f64 * k as f64).max(1.0) as usize;
-        for _round in 0..cfg.max_rounds {
+        let stop_threshold = (DELTA * n as f64 * k as f64).max(1.0) as usize;
+        for _round in 0..MAX_ROUNDS {
             // Partition each node's forward neighbours into new/old and
             // build the reverse lists.
             let mut fwd_new: Vec<Vec<u32>> = vec![Vec::new(); n];
@@ -136,7 +120,7 @@ impl KnnGraph {
             let mut rev_old: Vec<Vec<u32>> = vec![Vec::new(); n];
             for i in 0..n {
                 for e in lists[i].entries.iter() {
-                    if e.is_new && rng.gen_bool(cfg.sample_rate) {
+                    if e.is_new {
                         fwd_new[i].push(e.id);
                         rev_new[e.id as usize].push(i as u32);
                     } else {
@@ -145,7 +129,7 @@ impl KnnGraph {
                     }
                 }
             }
-            // Mark sampled-new entries as old for the next round.
+            // Mark new entries as old for the next round.
             for list in lists.iter_mut() {
                 for e in list.entries.iter_mut() {
                     e.is_new = false;
@@ -246,7 +230,7 @@ mod tests {
     #[test]
     fn small_input_uses_exact_graph() {
         let data = random_data(100, 8, 1);
-        let nnd = KnnGraph::nn_descent(8, &data, 5, &NnDescentConfig::default());
+        let nnd = KnnGraph::nn_descent(8, &data, 5);
         let exact = KnnGraph::brute_force(8, &data, 5);
         assert_eq!(nnd.edge_recall_against(&exact), 1.0);
     }
@@ -269,7 +253,7 @@ mod tests {
             seesaw_linalg::normalize(&mut v);
             data.extend_from_slice(&v);
         }
-        let nnd = KnnGraph::nn_descent(dim, &data, 10, &NnDescentConfig::default());
+        let nnd = KnnGraph::nn_descent(dim, &data, 10);
         let exact = KnnGraph::brute_force(dim, &data, 10);
         let recall = nnd.edge_recall_against(&exact);
         assert!(recall > 0.85, "recall {recall}");
@@ -278,16 +262,15 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let data = random_data(900, 8, 3);
-        let cfg = NnDescentConfig::default();
-        let a = KnnGraph::nn_descent(8, &data, 6, &cfg);
-        let b = KnnGraph::nn_descent(8, &data, 6, &cfg);
+        let a = KnnGraph::nn_descent(8, &data, 6);
+        let b = KnnGraph::nn_descent(8, &data, 6);
         assert_eq!(a, b);
     }
 
     #[test]
     fn all_rows_are_full_and_self_free() {
         let data = random_data(800, 8, 4);
-        let g = KnnGraph::nn_descent(8, &data, 7, &NnDescentConfig::default());
+        let g = KnnGraph::nn_descent(8, &data, 7);
         for i in 0..g.len() {
             let nb = g.neighbors_of(i);
             assert_eq!(nb.len(), 7);

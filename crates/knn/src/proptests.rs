@@ -3,8 +3,8 @@
 #![cfg(test)]
 
 use crate::graph::KnnGraph;
-use crate::labelprop::{propagate_labels, LabelPropConfig};
-use crate::weights::{gaussian_adjacency, laplacian, SigmaRule};
+use crate::labelprop::propagate_labels;
+use crate::weights::{gaussian_adjacency, laplacian};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -31,13 +31,11 @@ proptest! {
         prop_assume!(k < n);
         let data = random_flat(n, 6, seed);
         let g = KnnGraph::brute_force(6, &data, k);
-        for sigma in [SigmaRule::Fixed(0.7), SigmaRule::MedianScale(1.0), SigmaRule::SelfTuning(1.0)] {
-            let w = gaussian_adjacency(&g, sigma);
-            prop_assert!(w.max_asymmetry() < 1e-5);
-            let l = laplacian(&w);
-            for row_sum in l.row_sums() {
-                prop_assert!(row_sum.abs() < 1e-4, "laplacian row sum {row_sum}");
-            }
+        let w = gaussian_adjacency(&g);
+        prop_assert!(w.max_asymmetry() < 1e-5);
+        let l = laplacian(&w);
+        for row_sum in l.row_sums() {
+            prop_assert!(row_sum.abs() < 1e-4, "laplacian row sum {row_sum}");
         }
     }
 
@@ -49,7 +47,7 @@ proptest! {
     ) {
         let data = random_flat(n, 5, seed);
         let g = KnnGraph::brute_force(5, &data, 3.min(n - 1));
-        let w = gaussian_adjacency(&g, SigmaRule::SelfTuning(1.0));
+        let w = gaussian_adjacency(&g);
         let l = laplacian(&w).to_dense();
         let mut rng = StdRng::seed_from_u64(probe_seed);
         let y: Vec<f32> = (0..n).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
@@ -63,20 +61,16 @@ proptest! {
         lo in 0.0f32..0.4,
         hi in 0.6f32..1.0,
     ) {
-        // With clamped labels in [lo, hi] and init inside the hull, every
-        // propagated value stays inside [min(init, lo), hi] — averaging
-        // cannot extrapolate.
+        // With clamped labels in [lo, hi] and unlabeled nodes starting at
+        // 0, every propagated value stays inside [min(0, lo), hi] = [0, hi]
+        // — averaging cannot extrapolate.
         let data = random_flat(n, 4, seed);
         let g = KnnGraph::brute_force(4, &data, 3.min(n - 1));
-        let w = gaussian_adjacency(&g, SigmaRule::SelfTuning(1.0));
+        let w = gaussian_adjacency(&g);
         let labels = vec![(0u32, hi), (1u32, lo)];
-        let cfg = LabelPropConfig {
-            unlabeled_init: lo,
-            ..LabelPropConfig::default()
-        };
-        let y = propagate_labels(&w, &labels, &cfg);
+        let y = propagate_labels(&w, &labels);
         for v in y {
-            prop_assert!(v >= lo - 1e-5 && v <= hi + 1e-5, "{v} outside [{lo}, {hi}]");
+            prop_assert!((-1e-5..=hi + 1e-5).contains(&v), "{v} outside [0, {hi}]");
         }
     }
 
@@ -87,7 +81,7 @@ proptest! {
         // Uniform random data is NN-descent's worst case; recall should
         // still be non-trivial at moderate n.
         let data = random_flat(700, 8, seed);
-        let approx = KnnGraph::nn_descent(8, &data, 6, &crate::NnDescentConfig::default());
+        let approx = KnnGraph::nn_descent(8, &data, 6);
         let exact = KnnGraph::brute_force(8, &data, 6);
         let recall = approx.edge_recall_against(&exact);
         prop_assert!(recall > 0.5, "recall {recall}");

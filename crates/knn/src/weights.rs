@@ -5,57 +5,29 @@ use seesaw_linalg::{CsrMatrix, Triplet};
 
 use crate::graph::KnnGraph;
 
-/// How the Gaussian bandwidth σ is chosen.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum SigmaRule {
-    /// Use the given σ directly for every edge (the paper's σ = .05 on
-    /// CLIP): `w_ij = exp(−d_ij²/2σ²)`.
-    Fixed(f32),
-    /// Global σ = multiplier × (median neighbour distance). Adapts to
-    /// the embedding geometry.
-    MedianScale(f32),
-    /// Self-tuning bandwidths (Zelnik-Manor & Perona 2004):
-    /// `w_ij = exp(−d_ij²/(σ_i·σ_j))` with `σ_i` = multiplier × distance
-    /// to `i`'s furthest kept neighbour. Down-weights "bridge" edges
-    /// between dense regions and sparse background, which is exactly
-    /// what the DB-alignment regularizer needs.
-    SelfTuning(f32),
-}
-
-impl SigmaRule {
-    /// Per-node bandwidths for a given graph.
-    fn node_sigmas(&self, graph: &KnnGraph) -> Vec<f32> {
-        let n = graph.len();
-        match *self {
-            SigmaRule::Fixed(s) => vec![s.max(1e-6); n],
-            SigmaRule::MedianScale(m) => {
-                vec![(m * graph.median_distance()).max(1e-6); n]
-            }
-            SigmaRule::SelfTuning(m) => (0..n)
-                .map(|i| {
-                    let d = graph.distances_of(i);
-                    (m * d.last().copied().unwrap_or(0.0)).max(1e-6)
-                })
-                .collect(),
-        }
-    }
+/// Self-tuning bandwidths (Zelnik-Manor & Perona 2004): `σ_i` is the
+/// distance to `i`'s furthest kept neighbour.
+fn node_sigmas(graph: &KnnGraph) -> Vec<f32> {
+    (0..graph.len())
+        .map(|i| {
+            let d = graph.distances_of(i);
+            d.last().copied().unwrap_or(0.0).max(1e-6)
+        })
+        .collect()
 }
 
 /// Build the symmetrized weighted adjacency `W` of the kNN graph with
-/// Gaussian weights under the chosen bandwidth rule. An edge is present
-/// when either endpoint lists the other; the weight depends only on the
-/// distance and the two endpoints' bandwidths, so it is symmetric by
-/// construction.
-pub fn gaussian_adjacency(graph: &KnnGraph, sigma: SigmaRule) -> CsrMatrix {
+/// self-tuning Gaussian weights `w_ij = exp(−d_ij²/(σ_i·σ_j))`, where
+/// `σ_i` is the distance to `i`'s furthest kept neighbour. The paper
+/// uses one fixed σ = .05 on CLIP; per-node bandwidths down-weight
+/// "bridge" edges between dense regions and sparse background, which is
+/// what the DB-alignment regularizer needs, and need no tuning per
+/// embedding geometry. An edge is present when either endpoint lists
+/// the other; the weight depends only on the distance and the two
+/// endpoints' bandwidths, so it is symmetric by construction.
+pub fn gaussian_adjacency(graph: &KnnGraph) -> CsrMatrix {
     let n = graph.len();
-    let sigmas = sigma.node_sigmas(graph);
-    // For the global rules the denominator is 2σ² = σ·σ·2; write both as
-    // σ_i·σ_j·scale with scale chosen per rule so Fixed/MedianScale keep
-    // the textbook form.
-    let scale = match sigma {
-        SigmaRule::SelfTuning(_) => 1.0f64,
-        _ => 2.0f64,
-    };
+    let sigmas = node_sigmas(graph);
     let mut triplets: Vec<Triplet> = Vec::with_capacity(n * graph.k() * 2);
     for i in 0..n {
         let nbrs = graph.neighbors_of(i);
@@ -67,7 +39,7 @@ pub fn gaussian_adjacency(graph: &KnnGraph, sigma: SigmaRule) -> CsrMatrix {
             if (j as usize) < i && graph.neighbors_of(j as usize).contains(&(i as u32)) {
                 continue; // already emitted when we processed j
             }
-            let denom = scale * sigmas[i] as f64 * sigmas[j as usize] as f64;
+            let denom = sigmas[i] as f64 * sigmas[j as usize] as f64;
             let w = (-(d as f64) * (d as f64) / denom).exp() as f32;
             if w <= 0.0 {
                 continue;
@@ -131,23 +103,22 @@ mod tests {
     #[test]
     fn adjacency_is_symmetric() {
         let g = line_graph();
-        let w = gaussian_adjacency(&g, SigmaRule::MedianScale(1.0));
+        let w = gaussian_adjacency(&g);
         assert_eq!(w.max_asymmetry(), 0.0);
     }
 
     #[test]
     fn closer_pairs_get_larger_weights() {
         let g = line_graph();
-        let w = gaussian_adjacency(&g, SigmaRule::Fixed(1.0));
+        let w = gaussian_adjacency(&g);
         // (1,2) at distance .1 must outweigh (0,1) at distance 1.
         assert!(w.get(1, 2) > w.get(0, 1));
-        assert!(w.get(1, 2) > 0.9);
     }
 
     #[test]
     fn laplacian_rows_sum_to_zero() {
         let g = line_graph();
-        let w = gaussian_adjacency(&g, SigmaRule::MedianScale(1.0));
+        let w = gaussian_adjacency(&g);
         let l = laplacian(&w);
         for sum in l.row_sums() {
             assert!(sum.abs() < 1e-5, "row sum {sum}");
@@ -157,7 +128,7 @@ mod tests {
     #[test]
     fn laplacian_quadratic_form_is_nonnegative() {
         let g = line_graph();
-        let w = gaussian_adjacency(&g, SigmaRule::MedianScale(1.0));
+        let w = gaussian_adjacency(&g);
         let l = laplacian(&w).to_dense();
         for y in [
             vec![1.0f32, -1.0, 0.5, 2.0],
@@ -173,16 +144,13 @@ mod tests {
     }
 
     #[test]
-    fn sigma_rules_resolve() {
-        let g = line_graph();
-        assert!(SigmaRule::Fixed(0.05)
-            .node_sigmas(&g)
-            .iter()
-            .all(|&s| s == 0.05));
-        for rule in [SigmaRule::MedianScale(2.0), SigmaRule::SelfTuning(1.0)] {
-            let sigmas = rule.node_sigmas(&g);
-            assert_eq!(sigmas.len(), g.len());
-            assert!(sigmas.iter().all(|&s| s > 0.0), "{rule:?}");
+    fn self_tuning_sigmas_are_furthest_neighbour_distances() {
+        let g = KnnGraph::brute_force(1, &[0.0, 1.0, 1.1, 5.0], 2);
+        let sigmas = node_sigmas(&g);
+        assert_eq!(sigmas.len(), g.len());
+        for (i, &s) in sigmas.iter().enumerate() {
+            assert_eq!(s, g.distances_of(i)[1], "node {i}");
+            assert!(s > 0.0);
         }
     }
 
@@ -190,28 +158,36 @@ mod tests {
     fn self_tuning_downweights_bridge_edges() {
         // A dense pair (0, 1) and a far point 2 bridged from 1. Under
         // self-tuning, the bridge weight relative to the dense weight is
-        // far smaller than under a single global σ.
+        // far smaller than under a single global σ (the median
+        // neighbour distance, `w = exp(−d²/2σ²)`).
         let data = [0.0f32, 0.05, 3.0, 3.05];
         let g = KnnGraph::brute_force(1, &data, 2);
-        let tuned = gaussian_adjacency(&g, SigmaRule::SelfTuning(1.0));
-        let global = gaussian_adjacency(&g, SigmaRule::MedianScale(1.0));
+        let tuned = gaussian_adjacency(&g);
         let ratio = |w: &CsrMatrix| w.get(1, 2) / w.get(0, 1).max(1e-20);
+        let mut all: Vec<f32> = (0..g.len())
+            .flat_map(|i| g.distances_of(i).to_vec())
+            .collect();
+        all.sort_unstable_by(|a, b| a.total_cmp(b));
+        let sigma = all[all.len() / 2] as f64;
+        let global = |d: f32| (-(d as f64) * (d as f64) / (2.0 * sigma * sigma)).exp() as f32;
+        // Edge (1, 2) is node 1's second neighbour, (0, 1) node 0's first.
+        let global_ratio = global(g.distances_of(1)[1]) / global(g.distances_of(0)[0]).max(1e-20);
         assert!(
-            ratio(&tuned) <= ratio(&global) + 1e-6,
-            "tuned {} vs global {}",
-            ratio(&tuned),
-            ratio(&global)
+            ratio(&tuned) <= global_ratio + 1e-6,
+            "tuned {} vs global {global_ratio}",
+            ratio(&tuned)
         );
         assert_eq!(tuned.max_asymmetry(), 0.0);
     }
 
     #[test]
     fn mutual_edges_are_not_double_counted() {
-        // Nodes 1 and 2 are mutual nearest neighbours; the weight must
-        // equal the Gaussian of their distance exactly once.
+        // Nodes 1 and 2 are mutual nearest neighbours, so each one's
+        // bandwidth is their distance; the weight must equal the
+        // Gaussian of that distance, exp(−1), exactly once.
         let g = line_graph();
-        let w = gaussian_adjacency(&g, SigmaRule::Fixed(1.0));
-        let expect = (-(0.1f64 * 0.1) / 2.0).exp() as f32;
+        let w = gaussian_adjacency(&g);
+        let expect = (-1.0f64).exp() as f32;
         assert!((w.get(1, 2) - expect).abs() < 1e-5);
     }
 }

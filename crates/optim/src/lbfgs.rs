@@ -24,36 +24,32 @@ where
     }
 }
 
-/// Tuning knobs for [`Lbfgs`]. The defaults solve the aligner loss in a
-/// few tens of iterations, matching the paper's description.
+/// Number of curvature pairs retained (`m` in the literature).
+const HISTORY: usize = 10;
+/// Stop when the relative decrease of `f` falls below this.
+const F_TOL: f64 = 1e-10;
+/// Armijo (sufficient-decrease) constant `c₁`.
+const C1: f64 = 1e-4;
+/// Curvature constant `c₂` (strong Wolfe).
+const C2: f64 = 0.9;
+/// Line-search iteration cap.
+const MAX_LINE_SEARCH: usize = 30;
+
+/// Stopping rules for [`Lbfgs`]. The defaults solve the aligner loss in
+/// a few tens of iterations, matching the paper's description.
 #[derive(Clone, Debug)]
 pub struct LbfgsConfig {
-    /// Number of curvature pairs retained (`m` in the literature).
-    pub history: usize,
     /// Hard iteration cap.
     pub max_iters: usize,
     /// Stop when `‖∇f‖∞ ≤ grad_tol`.
     pub grad_tol: f64,
-    /// Stop when the relative decrease of `f` falls below this.
-    pub f_tol: f64,
-    /// Armijo (sufficient-decrease) constant `c₁`.
-    pub c1: f64,
-    /// Curvature constant `c₂` (strong Wolfe).
-    pub c2: f64,
-    /// Line-search iteration cap.
-    pub max_line_search: usize,
 }
 
 impl Default for LbfgsConfig {
     fn default() -> Self {
         Self {
-            history: 10,
             max_iters: 100,
             grad_tol: 1e-6,
-            f_tol: 1e-10,
-            c1: 1e-4,
-            c2: 0.9,
-            max_line_search: 30,
         }
     }
 }
@@ -97,12 +93,12 @@ impl Lbfgs {
         );
 
         // Curvature pair ring buffers.
-        let mut s_hist: Vec<Vec<f64>> = Vec::with_capacity(cfg.history);
-        let mut y_hist: Vec<Vec<f64>> = Vec::with_capacity(cfg.history);
-        let mut rho_hist: Vec<f64> = Vec::with_capacity(cfg.history);
+        let mut s_hist: Vec<Vec<f64>> = Vec::with_capacity(HISTORY);
+        let mut y_hist: Vec<Vec<f64>> = Vec::with_capacity(HISTORY);
+        let mut rho_hist: Vec<f64> = Vec::with_capacity(HISTORY);
 
         let mut direction = vec![0.0f64; n];
-        let mut alpha_buf = vec![0.0f64; cfg.history];
+        let mut alpha_buf = vec![0.0f64; HISTORY];
 
         for iter in 0..cfg.max_iters {
             let gnorm = inf_norm(&grad);
@@ -143,7 +139,7 @@ impl Lbfgs {
                 1.0
             };
 
-            let ls = wolfe_line_search(f, x, value, &grad, &direction, step0, cfg);
+            let ls = wolfe_line_search(f, x, value, &grad, &direction, step0);
             let Some(ls) = ls else {
                 // Line search failed: gradient is as good as it gets.
                 return LbfgsOutcome {
@@ -168,7 +164,7 @@ impl Lbfgs {
             value = ls.value;
 
             if sy > 1e-12 {
-                if s_hist.len() == cfg.history {
+                if s_hist.len() == HISTORY {
                     s_hist.remove(0);
                     y_hist.remove(0);
                     rho_hist.remove(0);
@@ -180,7 +176,7 @@ impl Lbfgs {
 
             let rel_decrease =
                 (prev_value - value).abs() / prev_value.abs().max(value.abs()).max(1.0);
-            if rel_decrease <= cfg.f_tol {
+            if rel_decrease <= F_TOL {
                 return LbfgsOutcome {
                     value,
                     grad_norm: inf_norm(&grad),
@@ -249,7 +245,6 @@ fn wolfe_line_search<O: Objective>(
     g0: &[f64],
     direction: &[f64],
     step0: f64,
-    cfg: &LbfgsConfig,
 ) -> Option<LineSearchResult> {
     let n = x0.len();
     let d_dot_g0 = dot(direction, g0);
@@ -273,19 +268,19 @@ fn wolfe_line_search<O: Objective>(
     let mut alpha = step0.max(1e-16);
     let alpha_max = 1e6;
 
-    for i in 0..cfg.max_line_search {
+    for i in 0..MAX_LINE_SEARCH {
         let (fi, di) = eval(alpha, &mut x, &mut g);
         if !fi.is_finite() {
             // Overshot into a bad region — shrink hard.
             alpha *= 0.25;
             continue;
         }
-        if fi > f0 + cfg.c1 * alpha * d_dot_g0 || (i > 0 && fi >= f_prev) {
+        if fi > f0 + C1 * alpha * d_dot_g0 || (i > 0 && fi >= f_prev) {
             return zoom(
-                f, x0, f0, d_dot_g0, direction, alpha_prev, f_prev, alpha, cfg, &mut x, &mut g,
+                f, x0, f0, d_dot_g0, direction, alpha_prev, f_prev, alpha, &mut x, &mut g,
             );
         }
-        if di.abs() <= -cfg.c2 * d_dot_g0 {
+        if di.abs() <= -C2 * d_dot_g0 {
             return Some(LineSearchResult {
                 x,
                 grad: g,
@@ -294,7 +289,7 @@ fn wolfe_line_search<O: Objective>(
         }
         if di >= 0.0 {
             return zoom(
-                f, x0, f0, d_dot_g0, direction, alpha, fi, alpha_prev, cfg, &mut x, &mut g,
+                f, x0, f0, d_dot_g0, direction, alpha, fi, alpha_prev, &mut x, &mut g,
             );
         }
         alpha_prev = alpha;
@@ -314,22 +309,21 @@ fn zoom<O: Objective>(
     mut lo: f64,
     mut f_lo: f64,
     mut hi: f64,
-    cfg: &LbfgsConfig,
     x: &mut [f64],
     g: &mut [f64],
 ) -> Option<LineSearchResult> {
     let n = x0.len();
-    for _ in 0..cfg.max_line_search {
+    for _ in 0..MAX_LINE_SEARCH {
         let alpha = 0.5 * (lo + hi);
         for i in 0..n {
             x[i] = x0[i] + alpha * direction[i];
         }
         let fi = f.value_grad(x, g);
         let di = dot(direction, g);
-        if !fi.is_finite() || fi > f0 + cfg.c1 * alpha * d_dot_g0 || fi >= f_lo {
+        if !fi.is_finite() || fi > f0 + C1 * alpha * d_dot_g0 || fi >= f_lo {
             hi = alpha;
         } else {
-            if di.abs() <= -cfg.c2 * d_dot_g0 {
+            if di.abs() <= -C2 * d_dot_g0 {
                 return Some(LineSearchResult {
                     x: x.to_vec(),
                     grad: g.to_vec(),

@@ -29,7 +29,7 @@
 use seesaw_core::{load_index, save_index, PreprocessConfig, Preprocessor, SearchService};
 use seesaw_dataset::DatasetSpec;
 use seesaw_server::{Server, ServerConfig};
-use seesaw_vecstore::{RowPrecision, StoreConfig};
+use seesaw_vecstore::RowPrecision;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
@@ -59,7 +59,7 @@ fn main() {
     // give the served index the byte-per-element ADC scan tier.
     let mut cfg = PreprocessConfig::fast();
     if let Ok(name) = std::env::var("SEESAW_STORE") {
-        cfg.store = StoreConfig::from_backend_name(&name)
+        cfg.store = PreprocessConfig::store_for_backend(&name)
             .unwrap_or_else(|| panic!("SEESAW_STORE={name:?}: expected forest, exact, or ivf"));
     }
     if let Ok(name) = std::env::var("SEESAW_PRECISION") {

@@ -111,7 +111,6 @@ pub use seesaw_vecstore as vecstore;
 /// Everything a typical caller needs, in one import.
 pub mod prelude {
     pub use seesaw_aligner::{AlignerConfig, QueryAligner};
-    pub use seesaw_baselines::{EnsConfig, RocchioConfig};
     pub use seesaw_core::{
         Batch, Feedback, Method, MethodConfig, MethodSpec, PreprocessConfig, Preprocessor, Request,
         Response, SearchService, ServiceError, Session, SessionId, SessionStats, SimulatedUser,

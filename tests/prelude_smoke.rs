@@ -49,8 +49,6 @@ fn prelude_facade_is_constructible_end_to_end() {
     // constructible.
     let _method: Method = Method::ZeroShot;
     let _aligner_cfg = AlignerConfig::default();
-    let _rocchio_cfg = RocchioConfig::default();
-    let _ens_cfg = EnsConfig::default();
     let _protocol = BenchmarkProtocol::default();
     let _model_fn: fn(&_) -> EmbeddingModel = EmbeddingModel::build;
     let _ap = average_precision;

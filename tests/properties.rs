@@ -3,7 +3,6 @@
 
 use proptest::prelude::*;
 use seesaw::aligner::{AlignerConfig, QueryAligner};
-use seesaw::baselines::{Rocchio, RocchioConfig};
 use seesaw::linalg::{cosine, dot, l2_norm, normalized};
 use seesaw::metrics::{average_precision, BenchmarkProtocol, SearchTrace};
 use seesaw::vecstore::{ExactStore, VectorStore};
@@ -87,19 +86,6 @@ proptest! {
         for w in cosines.windows(2) {
             prop_assert!(w[1] >= w[0] - 1e-3, "cosines not monotone: {cosines:?}");
         }
-    }
-
-    #[test]
-    fn rocchio_with_zero_beta_gamma_is_q0(
-        q0 in unit_vector(8),
-        feedback in proptest::collection::vec((unit_vector(8), any::<bool>()), 0..6),
-    ) {
-        let cfg = RocchioConfig { alpha: 1.0, beta: 0.0, gamma: 0.0 };
-        let mut r = Rocchio::new(&q0, cfg);
-        for (x, y) in &feedback {
-            r.add_feedback(x, *y);
-        }
-        prop_assert!(cosine(&r.query(), &q0) > 0.999);
     }
 
     #[test]
