@@ -826,6 +826,7 @@ pub fn batch_size() {
         "batch",
         "mAP",
         "mean lookups/query",
+        "mean solves/query",
     ]);
     for batch in [1usize, 3, 10, 30] {
         let runs: Vec<RunOutcome> = ds
@@ -837,13 +838,15 @@ pub fn batch_size() {
             .collect();
         let aps: Vec<f64> = runs.iter().map(|r| r.ap).collect();
         // One store lookup per batch (one `iteration_seconds` entry
-        // each). Solves would read images shown at every batch size:
-        // `try_feedback` realigns on every feedback, batched or not.
+        // each), and one solve per lookup that follows feedback: a
+        // batch's labels are folded into the query together.
         let lookups: usize = runs.iter().map(|r| r.iteration_seconds.len()).sum();
+        let solves: usize = runs.iter().map(|r| r.solves).sum();
         table.row([
             batch.to_string(),
             format!("{:.3}", mean(&aps)),
             format!("{:.1}", lookups as f64 / runs.len() as f64),
+            format!("{:.1}", solves as f64 / runs.len() as f64),
         ]);
     }
     println!("{table}");

@@ -24,6 +24,8 @@ pub struct RunOutcome {
     /// System latency of each iteration (one batch) in seconds (lookup +
     /// align; the simulated user's annotation time is *not* included).
     pub iteration_seconds: Vec<f64>,
+    /// Alignment solves the session ran ([`Session::n_solves`]).
+    pub solves: usize,
 }
 
 /// Run `concept` against `index` with `method`, following `protocol`.
@@ -73,6 +75,7 @@ pub fn run_benchmark_query(
         trace,
         ap,
         iteration_seconds,
+        solves: session.n_solves(),
     }
 }
 
@@ -110,6 +113,9 @@ mod tests {
             let (shown, found) = (out.trace.shown(), out.trace.found());
             assert!(shown <= proto.image_budget && found <= proto.target_results);
             assert_eq!(out.iteration_seconds.len(), shown.div_ceil(7));
+            // One solve per lookup after the first: the last batch's
+            // labels are never read back.
+            assert_eq!(out.solves, out.iteration_seconds.len() - 1);
             // The protocol is met only by the last image shown.
             assert!(!proto.should_stop(
                 shown - 1,

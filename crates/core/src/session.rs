@@ -11,6 +11,14 @@
 //!     query_vector ← query_align(feedback_map)
 //! ```
 //!
+//! The session keeps `query_vector` as a cache of
+//! `query_align(feedback_map)`: feedback records its labels and empties
+//! the cache, and the next read — the lookup, a stats request, any
+//! [`Session::current_query`] — solves once on everything recorded so
+//! far. A batch of b labels therefore costs one solve, not b, and each
+//! lookup sees the same query as if it had been solved after every
+//! label, since every solve starts from `q₀` on the full example set.
+//!
 //! The [`Method`] enum selects what `query_align` does: nothing
 //! (zero-shot), Rocchio's formula, the ENS active-search policy, the
 //! SeeSaw aligner — few-shot CLIP (Eq. 1), CLIP alignment, or CLIP + DB
@@ -24,7 +32,8 @@ use seesaw_embed::ConceptId;
 use seesaw_knn::propagate_labels;
 use seesaw_linalg::normalized;
 use seesaw_vecstore::VectorStore;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use crate::index::DatasetIndex;
 use crate::user::Feedback;
@@ -54,7 +63,7 @@ pub enum Method {
     /// SeeSaw with explicit label propagation every round — the
     /// interactivity comparator of Table 6 (§4.2 explains why this is
     /// the slow path). It fits the CLIP-alignment-only aligner
-    /// ([`AlignerConfig::clip_only`]) on [`PROP_FIT_SAMPLE`]
+    /// ([`AlignerConfig::clip_only`]) on `PROP_FIT_SAMPLE` (2000)
     /// pseudo-labeled vectors.
     SeeSawProp,
 }
@@ -179,7 +188,11 @@ pub struct Session {
     index: Arc<DatasetIndex>,
     concept: ConceptId,
     q0: Vec<f32>,
-    query: Vec<f32>,
+    /// `query_align(all feedback so far)`. Only the aligner-family
+    /// methods ever empty it (on feedback); the first read refills it.
+    query: OnceLock<Vec<f32>>,
+    /// Alignment solves run so far (aligner and propagation methods).
+    n_solves: AtomicUsize,
     seen: Vec<bool>,
     n_seen: usize,
     n_feedback: usize,
@@ -265,7 +278,8 @@ impl Session {
             index: Arc::clone(index),
             concept,
             q0,
-            query,
+            query: OnceLock::from(query),
+            n_solves: AtomicUsize::new(0),
             seen: vec![false; index.n_images()],
             n_seen: 0,
             n_feedback: 0,
@@ -279,21 +293,30 @@ impl Session {
         }
     }
 
-    /// Re-solve the aligner on the current example set (aligner-family
-    /// methods only; a no-op otherwise). The one place a session
-    /// gathers its examples and solves.
-    fn realign(&mut self) {
-        if let State::Aligner(aligner) = &self.state {
-            let examples: Vec<&[f32]> = self
-                .example_patches
-                .iter()
-                .map(|&p| self.index.patch_vector(p))
-                .collect();
-            self.query = aligner.align_weighted(
-                &examples,
+    /// Solve `query_align` on the current example set. The one place a
+    /// session gathers its examples and solves; it runs only when a
+    /// read finds the query cache empty.
+    fn realign(&self) -> Vec<f32> {
+        self.n_solves.fetch_add(1, Ordering::Relaxed);
+        match &self.state {
+            State::Aligner(aligner) => {
+                let examples: Vec<&[f32]> = self
+                    .example_patches
+                    .iter()
+                    .map(|&p| self.index.patch_vector(p))
+                    .collect();
+                aligner.align_weighted(&examples, &self.example_labels, Some(&self.example_weights))
+            }
+            State::Prop { round } => prop_align(
+                &self.index,
+                &self.q0,
+                &self.example_patches,
                 &self.example_labels,
-                Some(&self.example_weights),
-            );
+                *round,
+            ),
+            // These store their query whenever it changes and never
+            // empty the cache, so no read lands here.
+            State::Fixed | State::Rocchio(_) | State::Ens(_) => self.q0.clone(),
         }
     }
 
@@ -307,9 +330,16 @@ impl Session {
         &self.q0
     }
 
-    /// The current (aligned) query vector.
+    /// The current (aligned) query vector: `query_align` over all
+    /// feedback so far. The first read after feedback solves for it.
     pub fn current_query(&self) -> &[f32] {
-        &self.query
+        self.query.get_or_init(|| self.realign())
+    }
+
+    /// Alignment solves this session has run: at most one per read
+    /// that follows feedback, however many labels that feedback held.
+    pub fn n_solves(&self) -> usize {
+        self.n_solves.load(Ordering::Relaxed)
     }
 
     /// Images shown so far.
@@ -352,18 +382,17 @@ impl Session {
                 // the store returns patches in descending score order).
                 let per_image = (self.index.n_patches() / self.index.n_images().max(1)).max(1);
                 let mut k = (n + 4) * per_image + 16;
+                let query = self.current_query();
                 loop {
                     let seen = &self.seen;
                     let patches = &self.index.patches;
-                    let hits = self.index.store.top_k_budgeted(
-                        &self.query,
-                        k,
-                        self.search_k.max(2 * k),
-                        &|p| {
-                            let img = patches[p as usize].image;
-                            !seen[img as usize]
-                        },
-                    );
+                    let hits =
+                        self.index
+                            .store
+                            .top_k_budgeted(query, k, self.search_k.max(2 * k), &|p| {
+                                let img = patches[p as usize].image;
+                                !seen[img as usize]
+                            });
                     out.clear();
                     for h in &hits {
                         let img = patches[h.id as usize].image;
@@ -389,8 +418,9 @@ impl Session {
         out
     }
 
-    /// Record feedback for a previously returned image and realign the
-    /// query (Listing 1, lines 6–7).
+    /// Record feedback for a previously returned image (Listing 1,
+    /// line 6). The query realigns (line 7) on its next read, once for
+    /// all feedback recorded since the last one.
     ///
     /// # Panics
     /// Panics when the image was not handed out by [`Self::next_batch`].
@@ -407,7 +437,9 @@ impl Session {
     /// out-of-protocol image (one not handed out by
     /// [`Self::next_batch`], or already answered) as `false` instead of
     /// panicking. The session state is untouched when `false` is
-    /// returned.
+    /// returned. Accepted feedback is only recorded: the aligner and
+    /// propagation methods defer their solve to the next read of the
+    /// query, and Rocchio and ENS update in place.
     pub fn try_feedback(&mut self, fb: Feedback) -> bool {
         let Some(pos) = self.pending.iter().position(|&i| i == fb.image) else {
             return false;
@@ -445,7 +477,7 @@ impl Session {
             State::Fixed => {}
             State::Rocchio(rocchio) => {
                 rocchio.add_feedback(self.index.coarse_vector(fb.image), fb.relevant);
-                self.query = rocchio.query();
+                self.query = OnceLock::from(rocchio.query());
             }
             State::Ens(searcher) => {
                 searcher.observe(fb.image, fb.relevant);
@@ -457,18 +489,14 @@ impl Session {
                 // Anchored variants (CLIP alignment) can use negative
                 // feedback immediately — the q₀ term keeps them stable.
                 if self.any_positive || aligner.config().lambda_c > 0.0 {
-                    self.realign();
+                    self.query.take();
                 }
             }
             State::Prop { round } => {
+                // The round seeds the fit's background sample, so a
+                // deferred solve draws what an eager one would have.
                 *round += 1;
-                self.query = prop_align(
-                    &self.index,
-                    &self.q0,
-                    &self.example_patches,
-                    &self.example_labels,
-                    *round,
-                );
+                self.query.take();
             }
         }
         true
@@ -647,6 +675,57 @@ mod tests {
         let moved = seesaw_linalg::dot(&q_before, s.current_query());
         assert!(moved < 0.99999, "query should move, cosine {moved}");
         assert!((seesaw_linalg::l2_norm(s.current_query()) - 1.0).abs() < 1e-4);
+    }
+
+    #[test]
+    fn lazy_realignment_matches_realigning_after_every_label() {
+        let (ds, idx) = setup();
+        let concept = ds.queries()[0].concept;
+        let user = SimulatedUser::new(&ds);
+        let bits = |q: &[f32]| q.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        for (name, cfg, anchored) in [
+            ("seesaw", MethodConfig::seesaw(), true),
+            ("clip_only", MethodConfig::seesaw_clip_only(), true),
+            ("few_shot", MethodConfig::seesaw_few_shot(), false),
+            ("prop", MethodConfig::seesaw_prop(), true),
+        ] {
+            for b in [1usize, 3, 10] {
+                let mut lazy = Session::start(&idx, &ds, concept, cfg.clone());
+                // Reading the query after every label forces a solve
+                // per label: the eager order.
+                let mut eager = Session::start(&idx, &ds, concept, cfg.clone());
+                let mut labels = 0;
+                for round in 0..4 {
+                    let solves = lazy.n_solves();
+                    let shown = lazy.next_batch(b);
+                    assert_eq!(shown, eager.next_batch(b), "{name} b={b} round {round}");
+                    assert_eq!(
+                        bits(lazy.current_query()),
+                        bits(eager.current_query()),
+                        "{name} b={b} round {round}: queries differ"
+                    );
+                    let added = lazy.n_solves() - solves;
+                    if anchored && round > 0 {
+                        // A whole batch of labels costs one solve.
+                        assert_eq!(added, 1, "{name} b={b} round {round}");
+                    } else {
+                        assert!(added <= 1, "{name} b={b} round {round}: {added} solves");
+                    }
+                    let solves = lazy.n_solves();
+                    for image in shown {
+                        let fb = user.annotate(image, concept);
+                        assert!(lazy.try_feedback(fb.clone()));
+                        assert!(eager.try_feedback(fb));
+                        eager.current_query();
+                        labels += 1;
+                    }
+                    assert_eq!(lazy.n_solves(), solves, "{name}: feedback must not solve");
+                }
+                if anchored {
+                    assert_eq!(eager.n_solves(), labels, "{name} b={b}");
+                }
+            }
+        }
     }
 
     #[test]

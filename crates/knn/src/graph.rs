@@ -2,21 +2,6 @@
 
 use seesaw_linalg::squared_euclidean;
 
-/// Summary statistics of a kNN graph's edge-length distribution.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct GraphStats {
-    /// Node count.
-    pub nodes: usize,
-    /// Neighbours per node.
-    pub k: usize,
-    /// Mean edge length.
-    pub mean_distance: f32,
-    /// Median edge length.
-    pub p50_distance: f32,
-    /// 90th-percentile edge length.
-    pub p90_distance: f32,
-}
-
 /// A directed kNN graph: for every node, its `k` (approximately) nearest
 /// neighbours by Euclidean distance, sorted nearest-first.
 #[derive(Clone, Debug, PartialEq)]
@@ -110,31 +95,6 @@ impl KnnGraph {
     pub fn distances_of(&self, i: usize) -> &[f32] {
         &self.distances[i * self.k..(i + 1) * self.k]
     }
-
-    /// Distribution statistics of the graph — used by diagnostics and
-    /// the preprocessing logs.
-    pub fn stats(&self) -> GraphStats {
-        let mut dists = self.distances.clone();
-        dists.sort_unstable_by(|a, b| a.total_cmp(b));
-        let pick = |q: f64| {
-            if dists.is_empty() {
-                0.0
-            } else {
-                dists[((dists.len() - 1) as f64 * q) as usize]
-            }
-        };
-        GraphStats {
-            nodes: self.n,
-            k: self.k,
-            mean_distance: if dists.is_empty() {
-                0.0
-            } else {
-                dists.iter().sum::<f32>() / dists.len() as f32
-            },
-            p50_distance: pick(0.5),
-            p90_distance: pick(0.9),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -199,15 +159,5 @@ mod tests {
     #[should_panic(expected = "k = 4 must be below")]
     fn k_too_large_panics() {
         let _ = KnnGraph::brute_force(1, &line_data(), 4);
-    }
-
-    #[test]
-    fn stats_are_ordered_quantiles() {
-        let g = KnnGraph::brute_force(1, &line_data(), 2);
-        let s = g.stats();
-        assert_eq!(s.nodes, 4);
-        assert_eq!(s.k, 2);
-        assert!(s.mean_distance > 0.0);
-        assert!(s.p50_distance <= s.p90_distance);
     }
 }

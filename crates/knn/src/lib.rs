@@ -19,6 +19,6 @@ pub mod nndescent;
 mod proptests;
 pub mod weights;
 
-pub use graph::{GraphStats, KnnGraph};
+pub use graph::KnnGraph;
 pub use labelprop::propagate_labels;
 pub use weights::{gaussian_adjacency, laplacian};
