@@ -11,7 +11,7 @@
 //!    current path) on the machine's best SIMD tier. Reported as
 //!    rows/sec.
 //! 2. **storage × ISA matrix** — the kernel scan at every available
-//!    SIMD tier (scalar, and AVX2/NEON where detected) crossed with
+//!    SIMD tier (scalar, and AVX2 where detected) crossed with
 //!    every row-storage precision (`f32`, `f16`, `sq8`, `pq`), with a
 //!    bitwise self-check that every tier reproduces the scalar tier's
 //!    scores exactly (per precision). The quantized rows time the full
@@ -28,7 +28,7 @@
 //! "Performance" section for how to read the file.
 //!
 //! Knobs: `SEESAW_SCAN_ROWS` (default 8192) sizes the store;
-//! `SEESAW_SIMD=scalar|avx2|neon|auto` pins the dispatch tier.
+//! `SEESAW_SIMD=scalar|avx2|auto` pins the dispatch tier.
 //!
 //! ```sh
 //! cargo bench --bench scan_throughput
@@ -53,7 +53,7 @@ const K: usize = 10;
 /// memory-bound, least noise-sensitive).
 const GATE_DIM: usize = 512;
 /// Minimum dim-512 kernel/scalar speedup when a SIMD tier is active.
-/// The explicit AVX2/NEON kernels must at least double the historical
+/// The explicit AVX2 kernels must at least double the historical
 /// scalar scan; with only the scalar tier the kernel path still must
 /// not regress below it.
 const GATE_MIN_SPEEDUP_SIMD: f64 = 2.0;

@@ -10,12 +10,12 @@
 //! buys:
 //!
 //! 1. **Speed.** Each kernel executes on the best instruction-set tier
-//!    the CPU supports — explicit AVX2 (+F16C) on x86_64, NEON on
-//!    aarch64, lane-unrolled portable scalar everywhere — selected once
-//!    per process by [`crate::simd::active_tier`] (override with
-//!    `SEESAW_SIMD=scalar|avx2|neon|auto`, pin in-process with
-//!    [`crate::simd::force_tier`]). In the GEMV kernels the SIMD tiers
-//!    score several rows per loop to keep independent accumulator
+//!    the CPU supports — explicit AVX2 (+F16C) on x86_64, lane-unrolled
+//!    portable scalar everywhere — selected once per process by
+//!    [`crate::simd::active_tier`] (override with
+//!    `SEESAW_SIMD=scalar|avx2|auto`, pin in-process with
+//!    [`crate::simd::force_tier`]). In the GEMV kernels the AVX2 tier
+//!    scores several rows per loop to keep independent accumulator
 //!    chains in flight.
 //!    The f16 kernels score f16-encoded rows directly (widening
 //!    in-register on AVX2), halving the memory traffic of a dense scan.
@@ -81,7 +81,7 @@
 //!   bit-identical to the plain per-row loop.
 //!
 //! Both are bitwise identical across tiers. They have scalar and AVX2
-//! backends; NEON runs the scalar reference.
+//! backends.
 
 use crate::simd::{
     active_tier, dispatch_axpy_rows_f64, dispatch_dot, dispatch_dot_f16, dispatch_dot_pq,

@@ -14,9 +14,9 @@
 //! [`axpy`], a row-scan [`gemv1_into`] that scores every
 //! row of a matrix against one query, and a blocked
 //! [`normalize_rows`]. Each kernel executes on a
-//! runtime-detected SIMD tier — explicit AVX2 (+F16C) on x86_64, NEON
-//! on aarch64, portable scalar as the bit-exactness reference (see
-//! [`simd`]; override with `SEESAW_SIMD=scalar|avx2|neon|auto`) — and
+//! runtime-detected SIMD tier — explicit AVX2 (+F16C) on x86_64,
+//! portable scalar elsewhere and as the bit-exactness reference (see
+//! [`simd`]; override with `SEESAW_SIMD=scalar|avx2|auto`) — and
 //! every tier is bitwise identical, so determinism survives tier
 //! switches and machine moves. The [`half`] module provides exact
 //! bit-level f16↔f32 conversion for the half-precision row-storage

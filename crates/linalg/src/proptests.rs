@@ -182,7 +182,7 @@ proptest! {
     // *bitwise* identical to the scalar reference, for every kernel,
     // across every remainder class of the 8-wide lane unroll (empty
     // slices and single elements included). These are the tests that
-    // let the AVX2/NEON backends claim the scalar path's determinism
+    // let the AVX2 backend claim the scalar path's determinism
     // guarantees. They use the `_with` kernel variants so every tier is
     // exercised in one process regardless of `SEESAW_SIMD` (CI
     // additionally runs the whole suite under `SEESAW_SIMD=scalar`).

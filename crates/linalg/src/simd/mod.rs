@@ -1,10 +1,9 @@
 //! Runtime-dispatched SIMD backends for the scoring kernels.
 //!
-//! Three tiers implement the same kernel set (`dot`, single-query GEMV,
-//! its f16- and sq8-row variants, and the PQ ADC scan); the two
-//! f64-accumulating row kernels of the aligner loss (`dot_rows_f64`,
-//! `axpy_rows_f64`) have scalar and AVX2 backends, and NEON runs the
-//! scalar reference for them:
+//! Two tiers implement the same kernel set (`dot`, single-query GEMV,
+//! its f16- and sq8-row variants, the PQ ADC scan, and the two
+//! f64-accumulating row kernels of the aligner loss, `dot_rows_f64` and
+//! `axpy_rows_f64`):
 //!
 //! * [`Tier::Scalar`] — the portable lane-unrolled reference (the
 //!   `scalar` submodule). This is the *bit-exactness reference*: the
@@ -12,9 +11,8 @@
 //!   code.
 //! * [`Tier::Avx2`] — explicit `std::arch` AVX2 + F16C intrinsics
 //!   (x86_64). Selected only when `is_x86_feature_detected!` confirms
-//!   **both** `avx2` and `f16c` at runtime.
-//! * [`Tier::Neon`] — explicit `std::arch` NEON intrinsics (aarch64,
-//!   where NEON is baseline).
+//!   **both** `avx2` and `f16c` at runtime. Builds for any other
+//!   architecture run the scalar tier.
 //!
 //! # Bit-exactness contract
 //!
@@ -33,7 +31,7 @@
 //!
 //! The active tier is picked once per process, lazily, by
 //! [`active_tier`]: the `SEESAW_SIMD` environment variable
-//! (`scalar|avx2|neon|auto`) is consulted first, then CPU feature
+//! (`scalar|avx2|auto`) is consulted first, then CPU feature
 //! detection. Requesting a tier the CPU cannot run logs a warning and
 //! falls back to detection. Benches and tests can re-pin the tier
 //! in-process with [`force_tier`] and enumerate what the host supports
@@ -43,7 +41,7 @@ use std::ops::Add;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Accumulator lanes in the canonical dot product. Eight `f32` lanes
-/// fill one 256-bit AVX2 register (or two NEON `float32x4_t`).
+/// fill one 256-bit AVX2 register.
 pub(crate) const LANES: usize = 8;
 
 /// Entries per subspace in a PQ lookup table, fixed at the full `u8`
@@ -57,9 +55,6 @@ pub(crate) mod scalar;
 
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx2;
-
-#[cfg(target_arch = "aarch64")]
-pub(crate) mod neon;
 
 /// The fixed lane-reduction tree of the workspace: how the eight lane
 /// accumulators and the scalar tail combine into the final score. Part
@@ -80,8 +75,6 @@ pub enum Tier {
     Scalar,
     /// x86_64 AVX2 + F16C intrinsics (runtime detected).
     Avx2,
-    /// aarch64 NEON intrinsics (baseline on aarch64).
-    Neon,
 }
 
 impl Tier {
@@ -90,7 +83,6 @@ impl Tier {
         match self {
             Tier::Scalar => "scalar",
             Tier::Avx2 => "avx2",
-            Tier::Neon => "neon",
         }
     }
 
@@ -101,7 +93,6 @@ impl Tier {
             "" | "auto" => Some(None),
             "scalar" => Some(Some(Tier::Scalar)),
             "avx2" => Some(Some(Tier::Avx2)),
-            "neon" => Some(Some(Tier::Neon)),
             _ => None,
         }
     }
@@ -109,8 +100,8 @@ impl Tier {
 
 /// Whether the current CPU can execute `tier`'s kernels. `Scalar` is
 /// always supported; `Avx2` requires runtime-detected `avx2` **and**
-/// `f16c` (the f16 row loads use `VCVTPH2PS`); `Neon` is baseline on
-/// aarch64 builds.
+/// `f16c` (the f16 row loads use `VCVTPH2PS`), so it never runs on
+/// other architectures.
 pub fn tier_supported(tier: Tier) -> bool {
     match tier {
         Tier::Scalar => true,
@@ -119,16 +110,15 @@ pub fn tier_supported(tier: Tier) -> bool {
             std::arch::is_x86_feature_detected!("avx2")
                 && std::arch::is_x86_feature_detected!("f16c")
         }
-        #[cfg(target_arch = "aarch64")]
-        Tier::Neon => true,
-        _ => false,
+        #[cfg(not(target_arch = "x86_64"))]
+        Tier::Avx2 => false,
     }
 }
 
 /// Every tier the current CPU supports, best first. Benches iterate
 /// this to build the storage × ISA matrix.
 pub fn available_tiers() -> Vec<Tier> {
-    [Tier::Avx2, Tier::Neon, Tier::Scalar]
+    [Tier::Avx2, Tier::Scalar]
         .into_iter()
         .filter(|&t| tier_supported(t))
         .collect()
@@ -139,8 +129,6 @@ pub fn available_tiers() -> Vec<Tier> {
 pub fn detect_tier() -> Tier {
     if tier_supported(Tier::Avx2) {
         Tier::Avx2
-    } else if tier_supported(Tier::Neon) {
-        Tier::Neon
     } else {
         Tier::Scalar
     }
@@ -155,7 +143,6 @@ fn encode(t: Tier) -> u8 {
     match t {
         Tier::Scalar => 1,
         Tier::Avx2 => 2,
-        Tier::Neon => 3,
     }
 }
 
@@ -163,7 +150,6 @@ fn decode(v: u8) -> Option<Tier> {
     match v {
         1 => Some(Tier::Scalar),
         2 => Some(Tier::Avx2),
-        3 => Some(Tier::Neon),
         _ => None,
     }
 }
@@ -211,7 +197,7 @@ fn init_tier() -> Tier {
         None => {
             let fallback = detect_tier();
             eprintln!(
-                "seesaw: unknown SEESAW_SIMD value {raw:?} (expected scalar|avx2|neon|auto); \
+                "seesaw: unknown SEESAW_SIMD value {raw:?} (expected scalar|avx2|auto); \
                  using {}",
                 fallback.name()
             );
@@ -250,11 +236,6 @@ macro_rules! dispatch {
             // asserted by the public wrappers before dispatch.
             #[cfg(target_arch = "x86_64")]
             Tier::Avx2 => unsafe { avx2::$name($($arg),*) },
-            // SAFETY: reachable only after `effective` confirmed NEON
-            // (baseline on aarch64); shape preconditions are asserted
-            // by the public wrappers before dispatch.
-            #[cfg(target_arch = "aarch64")]
-            Tier::Neon => unsafe { neon::$name($($arg),*) },
             _ => scalar::$name($($arg),*),
         }
     };
@@ -327,34 +308,16 @@ pub(crate) fn dispatch_gemv1_sq8(
     dispatch!(tier, gemv1_sq8(codes, dim, params, query, out))
 }
 
-// The two f64-accumulating row kernels have no NEON backend: NEON
-// forwards to the scalar reference, which is bit-identical by
-// construction.
-
 #[allow(unsafe_code)] // feature-checked dispatch: see the Safety note above.
 #[inline]
 pub(crate) fn dispatch_dot_rows_f64(tier: Tier, rows: &[&[f32]], w: &[f64], out: &mut [f64]) {
-    match effective(tier) {
-        // SAFETY: reachable only after `effective` confirmed AVX2 on
-        // this process; shape preconditions are asserted by the public
-        // wrapper before dispatch.
-        #[cfg(target_arch = "x86_64")]
-        Tier::Avx2 => unsafe { avx2::dot_rows_f64(rows, w, out) },
-        _ => scalar::dot_rows_f64(rows, w, out),
-    }
+    dispatch!(tier, dot_rows_f64(rows, w, out))
 }
 
 #[allow(unsafe_code)] // feature-checked dispatch: see the Safety note above.
 #[inline]
 pub(crate) fn dispatch_axpy_rows_f64(tier: Tier, rows: &[&[f32]], coeffs: &[f64], acc: &mut [f64]) {
-    match effective(tier) {
-        // SAFETY: reachable only after `effective` confirmed AVX2 on
-        // this process; shape preconditions are asserted by the public
-        // wrapper before dispatch.
-        #[cfg(target_arch = "x86_64")]
-        Tier::Avx2 => unsafe { avx2::axpy_rows_f64(rows, coeffs, acc) },
-        _ => scalar::axpy_rows_f64(rows, coeffs, acc),
-    }
+    dispatch!(tier, axpy_rows_f64(rows, coeffs, acc))
 }
 
 #[cfg(test)]
@@ -376,14 +339,14 @@ mod tests {
         assert_eq!(Tier::parse(""), Some(None));
         assert_eq!(Tier::parse("Scalar"), Some(Some(Tier::Scalar)));
         assert_eq!(Tier::parse(" avx2 "), Some(Some(Tier::Avx2)));
-        assert_eq!(Tier::parse("neon"), Some(Some(Tier::Neon)));
+        assert_eq!(Tier::parse("neon"), None);
         assert_eq!(Tier::parse("sse9"), None);
     }
 
     #[test]
     fn force_tier_rejects_unsupported_and_pins_supported() {
         let before = active_tier();
-        for t in [Tier::Avx2, Tier::Neon] {
+        for t in [Tier::Avx2] {
             if !tier_supported(t) {
                 assert!(!force_tier(t));
                 assert_eq!(active_tier(), before);

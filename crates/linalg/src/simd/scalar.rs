@@ -5,12 +5,11 @@
 //! eight `f32` lane accumulators filled in chunk order
 //! (`acc[l] += a[8i + l] * b[8i + l]`, separate multiply and add
 //! roundings), the fixed [`combine`](super::combine) reduction tree,
-//! and a strictly left-to-right scalar tail. The AVX2 and NEON
-//! backends replay this exact operation sequence with vector
-//! registers; the per-tier proptests pin them to this code bit for
-//! bit. The lane loop is written so the auto-vectorizer can lift it to
-//! SIMD even here, which is what made this the fast path before the
-//! explicit backends existed.
+//! and a strictly left-to-right scalar tail. The AVX2 backend replays
+//! this exact operation sequence with vector registers; the per-tier
+//! proptests pin it to this code bit for bit. The lane loop is written
+//! so the auto-vectorizer can lift it to SIMD even here, which is what
+//! made this the fast path before the explicit backends existed.
 
 use super::{combine, LANES, PQ_LUT_STRIDE};
 use crate::half::f32_from_f16;
@@ -86,8 +85,8 @@ pub(crate) fn dot_sq8(codes: &[u8], scale: f32, offset: f32, query: &[f32]) -> f
 /// centroid count read the zero padding). Accumulation is the same
 /// eight-lane chunk order as [`dot`] — `acc[l] += entry` over chunks
 /// of eight subspaces, a strictly left-to-right tail, and the fixed
-/// [`combine`] reduction — which is the sequence the AVX2 gather and
-/// NEON backends replay bit for bit.
+/// [`combine`] reduction — which is the sequence the AVX2 gather
+/// replays bit for bit.
 pub(crate) fn dot_pq(codes: &[u8], lut: &[f32]) -> f32 {
     debug_assert_eq!(lut.len(), codes.len() * PQ_LUT_STRIDE);
     let m = codes.len();

@@ -9,9 +9,8 @@
 //! newline-delimited requests per connection, dispatches through
 //! `Arc<SearchService>`, and writes back one response line per request,
 //! in order. No async runtime and no external dependencies — the only
-//! platform surface is a thin readiness shim (epoll on Linux, poll(2)
-//! elsewhere) declared directly against the libc that `std` already
-//! links.
+//! platform surface is a thin epoll shim declared directly against the
+//! libc that `std` already links, so the crate builds on Linux only.
 //!
 //! # Serving model
 //!

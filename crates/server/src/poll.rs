@@ -8,16 +8,16 @@
 //!
 //! * [`Poller`] — register/modify/deregister file descriptors with a
 //!   readable/writable [`Interest`], then [`Poller::wait`] for
-//!   [`Event`]s. Backed by **epoll** on Linux (level-triggered, O(1)
-//!   per wakeup — the 10k-connections backend) and **poll(2)** on
-//!   other Unixes (O(n) per wakeup, correctness-equivalent fallback).
+//!   [`Event`]s. Backed by **epoll** (level-triggered, O(1) per
+//!   wakeup — the 10k-connections backend); the crate builds on Linux
+//!   only.
 //! * [`Waker`]/[`WakeRx`] — cross-thread wakeup for a blocked
 //!   [`Poller::wait`], built on a nonblocking `UnixStream` pair from
 //!   `std` (no extra syscall surface). Workers call [`Waker::wake`]
 //!   when they route a completion back to a loop; a pending-flag
 //!   collapses wake storms into at most one in-flight byte.
 //!
-//! All `unsafe` in the crate lives in the two `sys` modules below and
+//! All `unsafe` in the crate lives in the `sys` module below and
 //! consists solely of FFI calls with checked return values; every
 //! pointer passed is a stack or struct-owned buffer that outlives the
 //! call.
@@ -208,114 +208,10 @@ mod sys {
     }
 }
 
-#[cfg(all(unix, not(target_os = "linux")))]
-#[allow(unsafe_code)] // FFI shim: see the module docs above.
-mod sys {
-    use super::{Event, Interest};
-    use std::collections::HashMap;
-    use std::ffi::{c_int, c_short, c_uint};
-    use std::io;
-    use std::os::fd::RawFd;
-    use std::time::Duration;
-
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    struct PollFd {
-        fd: c_int,
-        events: c_short,
-        revents: c_short,
-    }
-
-    const POLLIN: c_short = 0x001;
-    const POLLOUT: c_short = 0x004;
-    const POLLERR: c_short = 0x008;
-    const POLLHUP: c_short = 0x010;
-
-    extern "C" {
-        // `nfds_t` is `unsigned int` on the BSD family (including
-        // macOS), the only non-Linux Unixes this fallback targets.
-        fn poll(fds: *mut PollFd, nfds: c_uint, timeout: c_int) -> c_int;
-    }
-
-    /// poll(2)-backed fallback: a registration table rebuilt into a
-    /// `pollfd` array per wait. O(n) per wakeup — fine for the
-    /// correctness-equivalent non-Linux path.
-    pub(crate) struct Poller {
-        registered: HashMap<RawFd, (usize, Interest)>,
-    }
-
-    impl Poller {
-        pub fn new() -> io::Result<Self> {
-            Ok(Self {
-                registered: HashMap::new(),
-            })
-        }
-
-        pub fn register(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
-            self.registered.insert(fd, (token, interest));
-            Ok(())
-        }
-
-        pub fn modify(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
-            self.registered.insert(fd, (token, interest));
-            Ok(())
-        }
-
-        pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-            self.registered.remove(&fd);
-            Ok(())
-        }
-
-        pub fn wait(&mut self, timeout: Duration, out: &mut Vec<Event>) -> io::Result<()> {
-            out.clear();
-            let mut fds: Vec<PollFd> = Vec::with_capacity(self.registered.len());
-            let mut tokens: Vec<usize> = Vec::with_capacity(self.registered.len());
-            for (&fd, &(token, interest)) in &self.registered {
-                let mut events = 0;
-                if interest.readable {
-                    events |= POLLIN;
-                }
-                if interest.writable {
-                    events |= POLLOUT;
-                }
-                fds.push(PollFd {
-                    fd,
-                    events,
-                    revents: 0,
-                });
-                tokens.push(token);
-            }
-            let timeout_ms = timeout.as_millis().min(i32::MAX as u128) as c_int;
-            // SAFETY: `fds` is a live, correctly sized array for the
-            // duration of the call.
-            let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as c_uint, timeout_ms) };
-            if n < 0 {
-                let e = io::Error::last_os_error();
-                if e.kind() == io::ErrorKind::Interrupted {
-                    return Ok(());
-                }
-                return Err(e);
-            }
-            for (pfd, &token) in fds.iter().zip(&tokens) {
-                let re = pfd.revents;
-                if re == 0 {
-                    continue;
-                }
-                out.push(Event {
-                    token,
-                    readable: re & (POLLIN | POLLERR | POLLHUP) != 0,
-                    writable: re & (POLLOUT | POLLERR | POLLHUP) != 0,
-                });
-            }
-            Ok(())
-        }
-    }
-}
-
-#[cfg(not(unix))]
+#[cfg(not(target_os = "linux"))]
 compile_error!(
-    "seesaw-server's event loop needs a Unix readiness API (epoll or poll); \
-     non-Unix targets are not supported"
+    "seesaw-server's event loop needs epoll; \
+     targets other than Linux are not supported"
 );
 
 /// The write half of a loop's wakeup channel, shared (via `Arc`) with
@@ -332,9 +228,9 @@ impl Waker {
     /// Wake the owning loop if it is not already scheduled to wake.
     pub fn wake(&self) {
         if !self.pending.swap(true, Ordering::AcqRel) {
-            // A full pipe means wakes are already pending — the loop
-            // will drain; any other error means the loop is gone and
-            // waking is moot.
+            // A full socket buffer means wakes are already pending —
+            // the loop will drain; any other error means the loop is
+            // gone and waking is moot.
             let _ = (&self.tx).write(&[1]);
         }
     }
