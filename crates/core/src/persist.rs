@@ -8,13 +8,14 @@
 //! and `docs/index_format.md`). The built vector store is serialized
 //! *structurally* as a nested blob, and loading maps the row payloads
 //! zero-copy with `mmap(2)`. Each row is written once: the store's own
-//! exact rows double as the embedding matrix, and a separate
-//! `EMBEDDINGS` section is written only for a store that keeps no exact
-//! f32 rows (f16). The precomputed `M_D` is saved too, so a cold start
-//! is the mapping plus one row copy, not a store rebuild or an `M_D`
-//! rebuild. Errors are typed ([`PersistError`]): truncated and
-//! oversized files are distinguished from checksum failures and bad
-//! magic, and sections that disagree with each other are `Corrupt`.
+//! exact rows (its `EXACT_ROWS` section) double as the embedding
+//! matrix, and a separate `EMBEDDINGS` section is written only for a
+//! store that keeps no exact f32 rows (f16). The precomputed `M_D` is
+//! saved too, so a cold start is the mapping plus one row copy, not a
+//! store rebuild or an `M_D` rebuild. Errors are typed
+//! ([`PersistError`]): truncated and oversized files are distinguished
+//! from checksum failures and bad magic, and sections that disagree
+//! with each other are `Corrupt`.
 //!
 //! Every `f32` travels as its raw IEEE-754 bit pattern
 //! (`to_le_bytes`/`from_le_bytes`), so the round trip is **bit-exact**

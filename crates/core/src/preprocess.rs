@@ -123,8 +123,9 @@ impl Preprocessor {
         let n_images = dataset.images.len();
 
         // --- tile + embed (data parallel over images) ----------------
-        // Compute per-image tile boxes first so patch ids can be laid
-        // out contiguously per image.
+        // Lay out every image's tiles first so patch ids are contiguous
+        // per image; the embed threads then read each tile's box from
+        // its `PatchMeta`, so metadata and embeddings share one tiling.
         let mut image_patch_ranges = Vec::with_capacity(n_images);
         let mut patches: Vec<PatchMeta> = Vec::new();
         for img in &dataset.images {
@@ -164,6 +165,7 @@ impl Preprocessor {
             let seed = cfg.seed;
             std::thread::scope(|scope| {
                 let images = &dataset.images;
+                let (patches, ranges) = (&patches, &image_patch_ranges);
                 for (t, chunk_slices) in slices.chunks_mut(chunk).enumerate() {
                     let lo = t * chunk;
                     scope.spawn(move || {
@@ -173,13 +175,10 @@ impl Preprocessor {
                             let mut rng = StdRng::seed_from_u64(
                                 seed ^ (img.id as u64).wrapping_mul(0x9e37_79b9),
                             );
-                            let boxes = if cfg.multiscale {
-                                tile_boxes(img.width, img.height)
-                            } else {
-                                vec![img.full_box()]
-                            };
-                            for (ti, tb) in boxes.iter().enumerate() {
-                                let content = tile_content(img, tb);
+                            let (start, end) = ranges[lo + off];
+                            let tiles = &patches[start as usize..end as usize];
+                            for (ti, tile) in tiles.iter().enumerate() {
+                                let content = tile_content(img, &tile.bbox);
                                 let v = model.embed_patch(&content, &mut rng);
                                 out[ti * dim..(ti + 1) * dim].copy_from_slice(&v);
                             }

@@ -91,14 +91,6 @@ impl MethodConfig {
         }
     }
 
-    /// A fixed caller-supplied query vector.
-    pub fn fixed(v: Vec<f32>) -> Self {
-        Self {
-            method: Method::FixedVector(v),
-            search_k: 8192,
-        }
-    }
-
     /// Rocchio with the paper's β = .5, γ = .25.
     pub fn rocchio() -> Self {
         Self {
@@ -167,6 +159,17 @@ impl MethodConfig {
     pub fn with_search_k(mut self, search_k: usize) -> Self {
         self.search_k = search_k;
         self
+    }
+}
+
+#[cfg(test)]
+impl MethodConfig {
+    /// A fixed caller-supplied query vector.
+    pub(crate) fn fixed(v: Vec<f32>) -> Self {
+        Self {
+            method: Method::FixedVector(v),
+            search_k: 8192,
+        }
     }
 }
 

@@ -291,12 +291,30 @@ fn header_and_table_bytes_never_panic_when_flipped() {
     }
 }
 
-/// An exact-backend `STORE_META` payload: the precision tag, then
-/// `fields` as u64s (shards slot, dim, n_rows, then the trailing
-/// extras: re-rank slot, PQ m, PQ nbits).
-fn exact_meta(precision_tag: u32, fields: &[u64]) -> Vec<u8> {
+#[test]
+fn version_one_file_is_unsupported() {
+    // A format revision is marked by the header version alone, so a
+    // version-1 file (per-tier f32 row kinds, a variable-length
+    // `STORE_META`) is refused before any section is read.
+    let mut bytes = saved_store_bytes("v1");
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    let got = load_store_from("v1", &bytes);
+    assert!(
+        matches!(
+            got,
+            Err(DiskIndexError::BadHeader("unsupported format version"))
+        ),
+        "expected the unsupported-version error, got {got:?}"
+    );
+}
+
+/// A `STORE_META` payload: the backend tag (exact 0, forest 1), the
+/// precision tag (f32 0, sq8 2, pq 3), then `fields` as u64s. A
+/// well-formed one has eight: dim, n_rows, four backend build fields,
+/// then PQ m and nbits.
+fn store_meta(backend: u32, precision_tag: u32, fields: &[u64]) -> Vec<u8> {
     let mut meta = Vec::new();
-    meta.extend_from_slice(&0u32.to_le_bytes()); // backend: exact
+    meta.extend_from_slice(&backend.to_le_bytes());
     meta.extend_from_slice(&precision_tag.to_le_bytes());
     for field in fields {
         meta.extend_from_slice(&field.to_le_bytes());
@@ -304,63 +322,36 @@ fn exact_meta(precision_tag: u32, fields: &[u64]) -> Vec<u8> {
     meta
 }
 
-/// A checksum-valid exact-backend store file that rebuilds from
-/// `RAW_ROWS`, with the given `STORE_META` shards slot and trailing
-/// extras.
-fn crafted_store(shards: u64, trailer: &[u64]) -> Vec<u8> {
+/// A checksum-valid exact f32 store file of 4 rows × dim 8 whose
+/// `STORE_META` carries `fields`.
+fn crafted_store(fields: &[u64]) -> Vec<u8> {
     let (dim, rows) = (8u64, 4u64);
-    let meta = exact_meta(0, &[&[shards, dim, rows], trailer].concat());
-    let raw: Vec<u8> = (0..dim * rows)
+    let exact: Vec<u8> = (0..dim * rows)
         .flat_map(|i| (i as f32).sin().to_le_bytes())
         .collect();
     let mut b = IndexFileBuilder::new();
-    b.section(section::STORE_META, meta);
-    b.section(section::RAW_ROWS, raw);
+    b.section(section::STORE_META, store_meta(0, 0, fields));
+    b.section(section::EXACT_ROWS, exact);
     b.to_bytes()
 }
 
 #[test]
-fn store_meta_shards_slot_other_than_one_is_bad_header() {
-    // The slot is reserved: 1 (as written) or 0 loads the one store.
-    for ok in [0u64, 1] {
-        let file = IndexFile::from_bytes(crafted_store(ok, &[4])).unwrap();
-        let store = store_from_file(&file);
-        assert!(
-            matches!(store, Ok(AnyStore::Exact(_))),
-            "shards slot {ok}: {store:?}"
-        );
-    }
-    // Any other count is a typed error before anything is built from
-    // it: a huge count must not size an allocation or a loop.
-    for bad in [3u64, 2, 1 << 28, 1 << 40, u64::MAX] {
-        let file = IndexFile::from_bytes(crafted_store(bad, &[4])).unwrap();
+fn store_meta_of_any_other_length_is_bad_header() {
+    let fields = [8u64, 4, 0, 0, 0, 0, 0, 0];
+    let file = IndexFile::from_bytes(crafted_store(&fields)).unwrap();
+    let store = store_from_file(&file);
+    assert!(matches!(store, Ok(AnyStore::Exact(_))), "{store:?}");
+    // Short, long, and the version-1 layout (a shards slot before dim
+    // and a re-rank slot after n_rows): all typed errors.
+    let v1 = [1, 8, 4, RERANK_FACTOR as u64];
+    let long = [&fields[..], &[0]].concat();
+    for bad in [&fields[..7], &long[..], &v1[..], &[]] {
+        let file = IndexFile::from_bytes(crafted_store(bad)).unwrap();
         let got = store_from_file(&file).map(|_| ());
         assert!(
             matches!(got, Err(DiskIndexError::BadHeader(_))),
-            "shards slot {bad}: expected BadHeader, got {got:?}"
-        );
-    }
-}
-
-#[test]
-fn store_meta_rerank_slot_other_than_default_is_bad_header() {
-    // The slot is reserved: the re-rank factor (as written) loads, and
-    // so does a file with no trailing extras at all.
-    for trailer in [&[RERANK_FACTOR as u64][..], &[]] {
-        let file = IndexFile::from_bytes(crafted_store(1, trailer)).unwrap();
-        let store = store_from_file(&file);
-        assert!(
-            matches!(store, Ok(AnyStore::Exact(_))),
-            "trailer {trailer:?}: {store:?}"
-        );
-    }
-    // Any other value is a typed error, never a pool size.
-    for bad in [7u64, 0, 1, 8, u64::MAX] {
-        let file = IndexFile::from_bytes(crafted_store(1, &[bad])).unwrap();
-        let got = store_from_file(&file).map(|_| ());
-        assert!(
-            matches!(got, Err(DiskIndexError::BadHeader(_))),
-            "re-rank slot {bad}: expected BadHeader, got {got:?}"
+            "{} meta fields: expected BadHeader, got {got:?}",
+            bad.len()
         );
     }
 }
@@ -368,7 +359,7 @@ fn store_meta_rerank_slot_other_than_default_is_bad_header() {
 #[test]
 fn pq_store_with_empty_rerank_rows_is_bad_header() {
     // A real exact-PQ store (64 rows, dim 8) re-saved with an empty
-    // `PQ_RERANK_ROWS`. Re-ranking reads every pooled row from that
+    // `EXACT_ROWS`. Re-ranking reads every pooled row from that
     // section, so the file must not load (it used to load, then panic
     // on the first query's re-rank slice).
     let (dim, rows) = (8usize, 64usize);
@@ -385,7 +376,7 @@ fn pq_store_with_empty_rerank_rows_is_bad_header() {
     ] {
         b.section(kind, file.section_bytes(kind).unwrap().to_vec());
     }
-    b.section(section::PQ_RERANK_ROWS, Vec::new());
+    b.section(section::EXACT_ROWS, Vec::new());
     let got = store_from_file(&IndexFile::from_bytes(b.to_bytes()).unwrap()).map(|_| ());
     assert!(
         matches!(got, Err(DiskIndexError::BadHeader(_))),
@@ -397,39 +388,41 @@ fn pq_store_with_empty_rerank_rows_is_bad_header() {
 fn store_meta_with_overflowing_sizes_is_bad_header() {
     // Section sizes derived from a crafted dim or row count overflow
     // usize. Each must be a typed error, not an overflow panic (debug)
-    // or a wrapped size that loads (release). Fields: shards slot, dim,
-    // n_rows, re-rank slot, then PQ m and nbits.
-    let rf = RERANK_FACTOR as u64;
-    let cases: [(&str, u32, Vec<u64>, Vec<u32>); 3] = [
+    // or a wrapped size that loads (release). Fields: dim, n_rows, four
+    // backend build fields, then PQ m and nbits.
+    let cases: [(&str, Vec<u8>, Vec<u32>); 4] = [
         (
             // The PQ codebook size m·2^nbits·dim/m with dim 2^60.
             "pq geometry",
-            3,
-            vec![1, 1 << 60, 0, rf, 1, 8],
+            store_meta(0, 3, &[1 << 60, 0, 0, 0, 0, 0, 1, 8]),
             vec![
                 section::PQ_CODES,
                 section::PQ_CODEBOOKS,
-                section::PQ_RERANK_ROWS,
+                section::EXACT_ROWS,
             ],
         ),
         (
             // Two sq8 parameters per row with 2^63 rows.
             "sq8 params",
-            2,
-            vec![1, 1, 1 << 63, rf],
-            vec![section::SQ8_CODES, section::SQ8_PARAMS, section::SQ8_SOURCE],
+            store_meta(0, 2, &[1, 1 << 63, 0, 0, 0, 0, 0, 0]),
+            vec![section::SQ8_CODES, section::SQ8_PARAMS, section::EXACT_ROWS],
         ),
         (
-            // The rebuild-on-load row count 16 · 2^60.
-            "raw rows",
-            0,
-            vec![1, 1 << 60, 16, rf],
-            vec![section::RAW_ROWS],
+            // The exact row count 16 · 2^60.
+            "exact rows",
+            store_meta(0, 0, &[1 << 60, 16, 0, 0, 0, 0, 0, 0]),
+            vec![section::EXACT_ROWS],
+        ),
+        (
+            // The forest's rebuild-on-load row count 16 · 2^60.
+            "forest rows",
+            store_meta(1, 0, &[1 << 60, 16, 1, 1, 1, 0, 0, 0]),
+            vec![section::EXACT_ROWS],
         ),
     ];
-    for (label, precision_tag, fields, kinds) in cases {
+    for (label, meta, kinds) in cases {
         let mut b = IndexFileBuilder::new();
-        b.section(section::STORE_META, exact_meta(precision_tag, &fields));
+        b.section(section::STORE_META, meta);
         for kind in kinds {
             b.section(kind, Vec::new());
         }

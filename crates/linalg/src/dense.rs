@@ -5,8 +5,6 @@
 //! (paper §4.2). The layout is a single contiguous buffer so scans and
 //! `gemv`-style products stay cache friendly.
 
-use crate::vector::dot;
-
 /// A row-major dense matrix of `f32`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DenseMatrix {
@@ -97,45 +95,11 @@ impl DenseMatrix {
         self.data[i * self.cols + j] = v;
     }
 
-    /// `y = A·x` (length `rows`), computed by the blocked
-    /// [`crate::kernels::gemv1_into`] kernel.
-    pub fn matvec(&self, x: &[f32]) -> Vec<f32> {
-        assert_eq!(x.len(), self.cols);
-        let mut y = vec![0.0f32; self.rows];
-        if self.cols > 0 {
-            crate::kernels::gemv1_into(&self.data, self.cols, x, &mut y);
-        }
-        y
-    }
-
-    /// Quadratic form `xᵀ A x` for a square matrix.
-    // xtask-allow: D1 the aligner and knn suites check wᵀMw with it
-    pub fn quadratic_form(&self, x: &[f32]) -> f32 {
-        assert_eq!(self.rows, self.cols, "quadratic form needs a square matrix");
-        assert_eq!(x.len(), self.cols);
-        let ax = self.matvec(x);
-        dot(&ax, x)
-    }
-
     /// Scale every entry by `s`.
     pub fn scale(&mut self, s: f32) {
         for v in self.data.iter_mut() {
             *v *= s;
         }
-    }
-
-    /// Maximum absolute asymmetry `max |A_ij − A_ji|` (diagnostics for
-    /// `M_D`, which must be symmetric).
-    // xtask-allow: D1 the aligner suite checks that M_D is symmetric
-    pub fn max_asymmetry(&self) -> f32 {
-        assert_eq!(self.rows, self.cols);
-        let mut worst = 0.0f32;
-        for i in 0..self.rows {
-            for j in (i + 1)..self.cols {
-                worst = worst.max((self.get(i, j) - self.get(j, i)).abs());
-            }
-        }
-        worst
     }
 
     /// Force exact symmetry by averaging with the transpose.
@@ -152,8 +116,23 @@ impl DenseMatrix {
 }
 
 #[cfg(test)]
+impl DenseMatrix {
+    /// `y = A·x` (length `rows`), computed by the blocked
+    /// [`crate::kernels::gemv1_into`] kernel.
+    pub(crate) fn matvec(&self, x: &[f32]) -> Vec<f32> {
+        assert_eq!(x.len(), self.cols);
+        let mut y = vec![0.0f32; self.rows];
+        if self.cols > 0 {
+            crate::kernels::gemv1_into(&self.data, self.cols, x, &mut y);
+        }
+        y
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vector::dot;
 
     fn sample() -> DenseMatrix {
         DenseMatrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
@@ -177,16 +156,17 @@ mod tests {
     #[test]
     fn quadratic_form_square() {
         let m = DenseMatrix::from_vec(2, 2, vec![2.0, 0.0, 0.0, 3.0]);
-        assert_eq!(m.quadratic_form(&[1.0, 2.0]), 2.0 + 12.0);
+        let x = [1.0, 2.0];
+        assert_eq!(dot(&m.matvec(&x), &x), 2.0 + 12.0);
     }
 
     #[test]
     fn symmetrize_removes_asymmetry() {
         let mut m = DenseMatrix::from_vec(2, 2, vec![1.0, 2.0, 4.0, 1.0]);
-        assert!(m.max_asymmetry() > 1.0);
         m.symmetrize();
-        assert_eq!(m.max_asymmetry(), 0.0);
         assert_eq!(m.get(0, 1), 3.0);
+        assert_eq!(m.get(1, 0), 3.0);
+        assert_eq!((m.get(0, 0), m.get(1, 1)), (1.0, 1.0));
     }
 
     #[test]

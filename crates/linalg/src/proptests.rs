@@ -145,7 +145,11 @@ proptest! {
             .map(|&(r, c, v)| Triplet { row: r, col: c, val: v })
             .collect();
         let m = CsrMatrix::from_triplets(5, 5, &trips);
-        let dense = m.to_dense();
+        let mut dense = DenseMatrix::zeros(5, 5);
+        for t in &trips {
+            let (r, c) = (t.row as usize, t.col as usize);
+            dense.set(r, c, dense.get(r, c) + t.val);
+        }
         let sparse_y = m.matvec(&x);
         let dense_y = dense.matvec(&x);
         for (a, b) in sparse_y.iter().zip(dense_y.iter()) {

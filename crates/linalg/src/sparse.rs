@@ -120,39 +120,11 @@ impl CsrMatrix {
             .map(|(&c, &v)| (c, v))
     }
 
-    /// `y = A·x`.
-    pub fn matvec(&self, x: &[f32]) -> Vec<f32> {
-        assert_eq!(x.len(), self.cols);
-        let mut y = vec![0.0f32; self.rows];
-        for (r, yr) in y.iter_mut().enumerate() {
-            let mut acc = 0.0f32;
-            for (c, v) in self.row_iter(r) {
-                acc += v * x[c as usize];
-            }
-            *yr = acc;
-        }
-        y
-    }
-
     /// Row sums (the degree vector when `self` is a weighted adjacency).
     pub fn row_sums(&self) -> Vec<f32> {
         (0..self.rows)
             .map(|r| self.row_iter(r).map(|(_, v)| v).sum())
             .collect()
-    }
-
-    /// Maximum absolute asymmetry of a square sparse matrix (diagnostic).
-    // xtask-allow: D1 the knn suites check that W is symmetric
-    pub fn max_asymmetry(&self) -> f32 {
-        assert_eq!(self.rows, self.cols);
-        let mut worst = 0.0f32;
-        for r in 0..self.rows {
-            for (c, v) in self.row_iter(r) {
-                let back = self.get(c as usize, r);
-                worst = worst.max((v - back).abs());
-            }
-        }
-        worst
     }
 
     /// Entry `(r, c)` (zero when not stored).
@@ -163,18 +135,6 @@ impl CsrMatrix {
             Ok(k) => self.values[lo + k],
             Err(_) => 0.0,
         }
-    }
-
-    /// Dense `rows × cols` copy (tests and tiny matrices only).
-    // xtask-allow: D1 the knn suites compare the Laplacian densely
-    pub fn to_dense(&self) -> DenseMatrix {
-        let mut m = DenseMatrix::zeros(self.rows, self.cols);
-        for r in 0..self.rows {
-            for (c, v) in self.row_iter(r) {
-                m.set(r, c as usize, v);
-            }
-        }
-        m
     }
 
     /// Compute `Xᵀ · A · X` where `X` is an `N × d` dense matrix of
@@ -218,8 +178,37 @@ impl CsrMatrix {
 }
 
 #[cfg(test)]
+impl CsrMatrix {
+    /// `y = A·x`.
+    pub(crate) fn matvec(&self, x: &[f32]) -> Vec<f32> {
+        assert_eq!(x.len(), self.cols);
+        let mut y = vec![0.0f32; self.rows];
+        for (r, yr) in y.iter_mut().enumerate() {
+            let mut acc = 0.0f32;
+            for (c, v) in self.row_iter(r) {
+                acc += v * x[c as usize];
+            }
+            *yr = acc;
+        }
+        y
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vector::dot;
+
+    /// Dense `rows × cols` copy of `m`.
+    fn to_dense(m: &CsrMatrix) -> DenseMatrix {
+        let mut d = DenseMatrix::zeros(m.rows(), m.cols());
+        for r in 0..m.rows() {
+            for (c, v) in m.row_iter(r) {
+                d.set(r, c as usize, v);
+            }
+        }
+        d
+    }
 
     fn small() -> CsrMatrix {
         // [ 1 0 2 ]
@@ -360,7 +349,7 @@ mod tests {
         let x = DenseMatrix::from_vec(3, 2, vec![1.0, 2.0, 0.5, -1.0, 3.0, 3.0]);
         let m = l.xtax(&x);
         let w = [0.3f32, -0.7];
-        let got = m.quadratic_form(&w);
+        let got = dot(&m.matvec(&w), &w);
         // Dense reference: score_i = x_i · w; edge (0,1) weight 1 →
         // (s0 − s1)².
         let s0 = 1.0 * w[0] + 2.0 * w[1];
@@ -387,7 +376,7 @@ mod tests {
                 },
             ],
         );
-        assert_eq!(sym.max_asymmetry(), 0.0);
+        assert_eq!((sym.get(0, 1), sym.get(1, 0)), (2.0, 2.0));
         let asym = CsrMatrix::from_triplets(
             2,
             2,
@@ -397,13 +386,13 @@ mod tests {
                 val: 2.0,
             }],
         );
-        assert!(asym.max_asymmetry() > 1.9);
+        assert_eq!((asym.get(0, 1), asym.get(1, 0)), (2.0, 0.0));
     }
 
     #[test]
     fn to_dense_roundtrip() {
         let m = small();
-        let d = m.to_dense();
+        let d = to_dense(&m);
         assert_eq!(d.get(0, 2), 2.0);
         assert_eq!(d.get(1, 0), 0.0);
     }

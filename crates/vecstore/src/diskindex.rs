@@ -14,11 +14,12 @@
 //! * [`load_store`] maps the file read-only ([`Mmap`], a direct
 //!   `mmap(2)` FFI shim in the style of the server's poll shim — the
 //!   workspace builds with zero external crates) and reconstructs the
-//!   store. The dense row payloads (f32 / f16 / SQ8 rows, and the SQ8
-//!   exact-rerank source rows) are **not copied**: [`MappedSlice`]
-//!   hands the kernels `&[T]` views straight into the page cache, so
-//!   cold-start cost is O(sections) header parsing, not O(data) — the
-//!   rows fault in lazily as queries touch them.
+//!   store. The dense row payloads (every tier's rows and codes, and
+//!   the exact rows the quantized tiers re-rank against) are **not
+//!   copied**: [`MappedSlice`] hands the kernels `&[T]` views straight
+//!   into the page cache, so cold-start cost is O(sections) header
+//!   parsing, not O(data) — the rows fault in lazily as queries touch
+//!   them.
 //!
 //! Loaded stores are *bit-identical* to the in-RAM stores they were
 //! saved from: the same bytes flow through the same kernels, so every
@@ -27,9 +28,14 @@
 //!
 //! | store | on disk | on load |
 //! |---|---|---|
-//! | `Exact` | row payload per precision | zero-copy rows |
-//! | `Ivf` | rows + centroids + flattened lists | zero-copy rows; the small centroid/list sections are copied |
-//! | `Forest` | raw f32 rows + build config | deterministic rebuild (tree nodes are cheap to rebuild and pointer-heavy to serialize) |
+//! | `Exact` | row sections per precision | zero-copy rows |
+//! | `Ivf` | row sections + centroids + flattened lists | zero-copy rows; the small centroid/list sections are copied |
+//! | `Forest` | exact rows + build config | deterministic rebuild (tree nodes are cheap to rebuild and pointer-heavy to serialize) |
+//!
+//! This module owns the container, `STORE_META` and the IVF lists; each
+//! precision tier writes and reads its own row sections
+//! (`crate::storage`). Exact f32 rows have one kind,
+//! [`section::EXACT_ROWS`], whichever tier or backend keeps them.
 //!
 //! The format is explicitly little-endian (the header carries an
 //! endian tag and this module refuses to compile on big-endian
@@ -48,10 +54,9 @@ use std::ops::Deref;
 use std::path::Path;
 use std::sync::Arc;
 
-use crate::storage::{PqRows, RowPrecision, RowStorage, Sq8Rows};
+use crate::storage::{RowPrecision, RowStorage};
 use crate::{
-    AnyStore, ExactStore, IvfConfig, IvfStore, RpForestConfig, StoreConfig, VectorStore,
-    RERANK_FACTOR,
+    AnyStore, ExactStore, IvfConfig, IvfStore, RpForest, RpForestConfig, StoreConfig, VectorStore,
 };
 
 #[cfg(target_endian = "big")]
@@ -62,8 +67,9 @@ compile_error!(
 
 /// File magic: `SSAWIDX` plus the format generation.
 pub const MAGIC: [u8; 8] = *b"SSAWIDX1";
-/// Format version within the `SSAWIDX1` generation.
-pub const VERSION: u32 = 1;
+/// Format version within the `SSAWIDX1` generation: the one mark of a
+/// format revision. A reader accepts exactly this version.
+pub const VERSION: u32 = 2;
 /// Endianness canary stored in the header; reads back permuted on a
 /// wrong-endian reader.
 const ENDIAN_TAG: u32 = 0x0102_0304;
@@ -84,31 +90,25 @@ const MAX_SECTIONS: u32 = 1 << 16;
 pub mod section {
     /// Store metadata: backend/precision tags, shape, build config.
     pub const STORE_META: u32 = 1;
-    /// Dense f32 rows (row-major).
-    pub const ROWS_F32: u32 = 2;
+    /// Exact f32 rows in id order (row-major): the rows of an f32 tier,
+    /// the re-rank rows of SQ8 and PQ, and the forest's rebuild input.
+    pub const EXACT_ROWS: u32 = 2;
     /// Dense f16 rows (IEEE binary16 bit patterns, row-major).
     pub const ROWS_F16: u32 = 3;
     /// SQ8 u8 codes (row-major).
     pub const SQ8_CODES: u32 = 4;
     /// SQ8 per-row `(scale, offset)` f32 pairs.
     pub const SQ8_PARAMS: u32 = 5;
-    /// SQ8 exact f32 source rows (the re-ranking tier).
-    pub const SQ8_SOURCE: u32 = 6;
     /// IVF centroid matrix (`n_lists × dim`, f32).
     pub const IVF_CENTROIDS: u32 = 7;
     /// IVF list start offsets (`n_lists + 1` u64s) into the id pool.
     pub const IVF_LIST_OFFSETS: u32 = 8;
     /// IVF flattened row-id pool (u32).
     pub const IVF_LIST_IDS: u32 = 9;
-    /// Raw f32 rows in original order, for rebuild-on-load backends.
-    pub const RAW_ROWS: u32 = 10;
     /// PQ codebooks (`m × k × dsub` f32, subspace-major).
     pub const PQ_CODEBOOKS: u32 = 11;
     /// PQ u8 code matrix (`n_rows × m`, row-major).
     pub const PQ_CODES: u32 = 12;
-    /// PQ exact f32 re-rank source rows (`n_rows × dim`, row-major),
-    /// loaded as a mapped (demand-paged) view.
-    pub const PQ_RERANK_ROWS: u32 = 13;
 }
 
 /// Errors from writing, mapping, or parsing an index file.
@@ -743,7 +743,7 @@ pub fn le_bytes_f32(v: &[f32]) -> Vec<u8> {
     out
 }
 
-fn le_bytes_u16(v: &[u16]) -> Vec<u8> {
+pub(crate) fn le_bytes_u16(v: &[u16]) -> Vec<u8> {
     let mut out = Vec::with_capacity(v.len() * 2);
     for x in v {
         out.extend_from_slice(&x.to_le_bytes());
@@ -794,13 +794,17 @@ struct StoreMeta {
     n_rows: usize,
 }
 
+/// `STORE_META`'s one length: the backend and precision tags (u32
+/// each), then eight u64s: dim, n_rows, four backend build fields (zero
+/// for exact) and the PQ geometry `(m, nbits)` (zero for other tiers).
+const META_LEN: usize = 4 + 4 + 8 * 8;
+
 fn encode_meta(config: &StoreConfig, dim: usize, n_rows: usize) -> Vec<u8> {
-    let mut w = Vec::new();
-    let (backend, extras): (u32, Vec<u64>) = match config {
-        StoreConfig::Exact { .. } => (BACKEND_EXACT, Vec::new()),
-        StoreConfig::RpForest { config: c, .. } => (
+    let (backend, build) = match config {
+        StoreConfig::Exact { .. } => (BACKEND_EXACT, [0; 4]),
+        StoreConfig::RpForest { config: c } => (
             BACKEND_FOREST,
-            vec![
+            [
                 c.n_trees as u64,
                 c.leaf_size as u64,
                 c.search_k as u64,
@@ -809,7 +813,7 @@ fn encode_meta(config: &StoreConfig, dim: usize, n_rows: usize) -> Vec<u8> {
         ),
         StoreConfig::Ivf { config: c, .. } => (
             BACKEND_IVF,
-            vec![
+            [
                 c.n_lists as u64,
                 c.n_probe as u64,
                 c.train_iters as u64,
@@ -817,83 +821,38 @@ fn encode_meta(config: &StoreConfig, dim: usize, n_rows: usize) -> Vec<u8> {
             ],
         ),
     };
+    let pq_geometry = match config.precision() {
+        RowPrecision::Pq { m, nbits } => [m as u64, nbits as u64],
+        _ => [0; 2],
+    };
+    let mut w = Vec::with_capacity(META_LEN);
     w.extend_from_slice(&backend.to_le_bytes());
     w.extend_from_slice(&precision_tag(config.precision()).to_le_bytes());
-    // The shards slot: reserved, always 1 (one store per index).
-    w.extend_from_slice(&1u64.to_le_bytes());
-    w.extend_from_slice(&(dim as u64).to_le_bytes());
-    w.extend_from_slice(&(n_rows as u64).to_le_bytes());
-    for x in extras {
+    for x in [dim as u64, n_rows as u64]
+        .into_iter()
+        .chain(build)
+        .chain(pq_geometry)
+    {
         w.extend_from_slice(&x.to_le_bytes());
-    }
-    // Trailing extras after the backend block, length-driven on decode
-    // (older files omit them entirely): the re-rank slot (reserved,
-    // always `RERANK_FACTOR`), and the PQ geometry when the precision
-    // is PQ.
-    w.extend_from_slice(&(RERANK_FACTOR as u64).to_le_bytes());
-    if let RowPrecision::Pq { m, nbits } = config.precision() {
-        w.extend_from_slice(&(m as u64).to_le_bytes());
-        w.extend_from_slice(&(nbits as u64).to_le_bytes());
     }
     w
 }
 
 fn decode_meta(bytes: &[u8]) -> Result<StoreMeta, DiskIndexError> {
-    let fixed = 4 + 4 + 8 + 8 + 8;
-    if bytes.len() < fixed {
-        return Err(DiskIndexError::BadHeader("store meta too short"));
+    if bytes.len() != META_LEN {
+        return Err(DiskIndexError::BadHeader("store meta length mismatch"));
     }
-    let backend = read_u32(bytes, 0);
-    let precision_tag = read_u32(bytes, 4);
-    // The reserved shards slot: `1` as written (`0` also reads as one
-    // store). Any other count is rejected, never acted on.
-    if read_u64(bytes, 8) > 1 {
-        return Err(DiskIndexError::BadHeader("store meta shards slot is not 1"));
-    }
-    let dim = read_u64(bytes, 16) as usize;
-    let n_rows = read_u64(bytes, 24) as usize;
+    let field = |i: usize| read_u64(bytes, 8 + 8 * i);
+    let (dim, n_rows) = (field(0) as usize, field(1) as usize);
     if dim == 0 {
         return Err(DiskIndexError::BadHeader("store meta has zero dim"));
     }
-    let n_backend = match backend {
-        BACKEND_EXACT => 0,
-        BACKEND_FOREST | BACKEND_IVF => 4,
-        _ => return Err(DiskIndexError::BadHeader("unknown backend tag")),
-    };
-    let backend_end = fixed + 8 * n_backend;
-    if bytes.len() < backend_end {
-        return Err(DiskIndexError::BadHeader("store meta length mismatch"));
-    }
-    let e: Vec<u64> = (0..n_backend)
-        .map(|i| read_u64(bytes, fixed + 8 * i))
-        .collect();
-    // Trailing extras, length-driven so pre-PQ files (no tail) keep
-    // decoding: 8 bytes carry the reserved re-rank slot, 24 add the PQ
-    // geometry (required when the precision tag is PQ). The slot is
-    // always `RERANK_FACTOR`; any other value is rejected, never acted
-    // on.
-    let pq_geom = match bytes.len() - backend_end {
-        0 => None,
-        8 | 24 if read_u64(bytes, backend_end) != RERANK_FACTOR as u64 => {
-            return Err(DiskIndexError::BadHeader(
-                "store meta re-rank slot is not RERANK_FACTOR",
-            ));
-        }
-        8 => None,
-        24 => Some((
-            read_u64(bytes, backend_end + 8),
-            read_u64(bytes, backend_end + 16),
-        )),
-        _ => return Err(DiskIndexError::BadHeader("store meta length mismatch")),
-    };
-    let precision = match precision_tag {
+    let precision = match read_u32(bytes, 4) {
         0 => RowPrecision::F32,
         1 => RowPrecision::F16,
         2 => RowPrecision::Sq8,
         PRECISION_TAG_PQ => {
-            let Some((m, nbits)) = pq_geom else {
-                return Err(DiskIndexError::BadHeader("pq store meta missing geometry"));
-            };
+            let (m, nbits) = (field(6), field(7));
             if m == 0 || !(1..=8).contains(&nbits) || !(dim as u64).is_multiple_of(m) {
                 return Err(DiskIndexError::BadHeader("pq store meta geometry invalid"));
             }
@@ -904,26 +863,26 @@ fn decode_meta(bytes: &[u8]) -> Result<StoreMeta, DiskIndexError> {
         }
         _ => return Err(DiskIndexError::BadHeader("unknown precision tag")),
     };
-    let config = match backend {
+    let config = match read_u32(bytes, 0) {
         BACKEND_EXACT => StoreConfig::Exact { precision },
         BACKEND_FOREST => StoreConfig::RpForest {
             config: RpForestConfig {
-                n_trees: e[0] as usize,
-                leaf_size: e[1] as usize,
-                search_k: e[2] as usize,
-                seed: e[3],
+                n_trees: field(2) as usize,
+                leaf_size: field(3) as usize,
+                search_k: field(4) as usize,
+                seed: field(5),
             },
         },
         BACKEND_IVF => StoreConfig::Ivf {
             config: IvfConfig {
-                n_lists: e[0] as usize,
-                n_probe: e[1] as usize,
-                train_iters: e[2] as usize,
-                seed: e[3],
+                n_lists: field(2) as usize,
+                n_probe: field(3) as usize,
+                train_iters: field(4) as usize,
+                seed: field(5),
             },
             precision,
         },
-        _ => unreachable!("backend tag validated above"),
+        _ => return Err(DiskIndexError::BadHeader("unknown backend tag")),
     };
     Ok(StoreMeta {
         config,
@@ -936,87 +895,6 @@ fn decode_meta(bytes: &[u8]) -> Result<StoreMeta, DiskIndexError> {
 // Store save / load
 // ---------------------------------------------------------------------
 
-fn row_sections(builder: &mut IndexFileBuilder, rows: &RowStorage) {
-    match rows {
-        RowStorage::F32(d) => {
-            builder.section(section::ROWS_F32, le_bytes_f32(d));
-        }
-        RowStorage::F16(d) => {
-            builder.section(section::ROWS_F16, le_bytes_u16(d));
-        }
-        RowStorage::Sq8(q) => {
-            builder.section(section::SQ8_CODES, q.codes().to_vec());
-            builder.section(section::SQ8_PARAMS, le_bytes_f32(q.params()));
-            builder.section(section::SQ8_SOURCE, le_bytes_f32(q.source()));
-        }
-        RowStorage::Pq(p) => {
-            builder.section(section::PQ_CODES, p.codes().to_vec());
-            builder.section(section::PQ_CODEBOOKS, le_bytes_f32(p.codebooks()));
-            builder.section(section::PQ_RERANK_ROWS, le_bytes_f32(p.source()));
-        }
-    }
-}
-
-fn rows_from_file(
-    file: &IndexFile,
-    precision: RowPrecision,
-    dim: usize,
-    n_rows: usize,
-) -> Result<RowStorage, DiskIndexError> {
-    let want = n_rows
-        .checked_mul(dim)
-        .ok_or(DiskIndexError::BadHeader("row count overflows"))?;
-    let rows = match precision {
-        RowPrecision::F32 => RowStorage::F32(file.section_slice(section::ROWS_F32)?.into()),
-        RowPrecision::F16 => RowStorage::F16(file.section_slice(section::ROWS_F16)?.into()),
-        RowPrecision::Sq8 => {
-            let codes = file.section_slice::<u8>(section::SQ8_CODES)?;
-            let params = file.section_slice::<f32>(section::SQ8_PARAMS)?;
-            let source = file.section_slice::<f32>(section::SQ8_SOURCE)?;
-            if Some(params.len()) != n_rows.checked_mul(2) || source.len() != want {
-                return Err(DiskIndexError::BadHeader("sq8 section shape mismatch"));
-            }
-            RowStorage::Sq8(Sq8Rows::from_parts(
-                codes.into(),
-                params.into(),
-                source.into(),
-            ))
-        }
-        RowPrecision::Pq { m, nbits } => {
-            // decode_meta validated m | dim, m > 0, 1 ≤ nbits ≤ 8; the
-            // section sizes can still overflow on a crafted dim.
-            let dsub = dim / m;
-            let k = 1usize << nbits;
-            let (n_codes, n_codebook) = n_rows
-                .checked_mul(m)
-                .zip(m.checked_mul(k).and_then(|mk| mk.checked_mul(dsub)))
-                .ok_or(DiskIndexError::BadHeader("pq geometry overflows"))?;
-            let codes = file.section_slice::<u8>(section::PQ_CODES)?;
-            let codebooks = file.section_slice::<f32>(section::PQ_CODEBOOKS)?;
-            let source = file.section_slice::<f32>(section::PQ_RERANK_ROWS)?;
-            if codes.len() != n_codes || codebooks.len() != n_codebook || source.len() != want {
-                return Err(DiskIndexError::BadHeader("pq section shape mismatch"));
-            }
-            // Every section stays a mapped view. The re-rank source in
-            // particular is demand-paged: queries fault in only the
-            // pool they re-rank, so steady-state residency is codes +
-            // codebooks (see `RowStorage::resident_bytes`).
-            RowStorage::Pq(PqRows::from_parts(
-                m,
-                nbits,
-                dsub,
-                codes.into(),
-                codebooks.into(),
-                source.into(),
-            ))
-        }
-    };
-    if rows.len() != want {
-        return Err(DiskIndexError::BadHeader("row section shape mismatch"));
-    }
-    Ok(rows)
-}
-
 /// Serialize a store to an in-memory `SSAWIDX1` blob.
 pub fn encode_store(store: &AnyStore) -> Vec<u8> {
     store_builder(store).to_bytes()
@@ -1025,17 +903,15 @@ pub fn encode_store(store: &AnyStore) -> Vec<u8> {
 /// A store's `SSAWIDX1` sections, meta first.
 fn store_builder(store: &AnyStore) -> IndexFileBuilder {
     let mut b = IndexFileBuilder::new();
-    let dim = store.dim();
-    let n_rows = store.len();
     let config = match store {
         AnyStore::Exact(s) => {
-            row_sections(&mut b, s.rows());
+            s.rows().write_sections(&mut b);
             StoreConfig::Exact {
                 precision: s.precision(),
             }
         }
         AnyStore::Ivf(s) => {
-            row_sections(&mut b, s.rows());
+            s.rows().write_sections(&mut b);
             b.section(section::IVF_CENTROIDS, le_bytes_f32(s.centroids()));
             let mut offsets = Vec::with_capacity(s.n_lists() + 1);
             let mut ids = Vec::new();
@@ -1052,19 +928,16 @@ fn store_builder(store: &AnyStore) -> IndexFileBuilder {
             }
         }
         AnyStore::Forest(s) => {
-            b.section(section::RAW_ROWS, le_bytes_f32(s.raw_data()));
+            b.section(section::EXACT_ROWS, le_bytes_f32(s.raw_data()));
             StoreConfig::RpForest {
                 config: s.config().clone(),
             }
         }
     };
     // Meta goes in front so loaders can dispatch without scanning.
-    let mut with_meta = IndexFileBuilder::new();
-    with_meta.section(section::STORE_META, encode_meta(&config, dim, n_rows));
-    for (kind, payload) in b.sections {
-        with_meta.section(kind, payload);
-    }
-    with_meta
+    let meta = encode_meta(&config, store.dim(), store.len());
+    b.sections.insert(0, (section::STORE_META, meta));
+    b
 }
 
 /// Save a store to `path` in the `SSAWIDX1` format (atomic
@@ -1075,32 +948,32 @@ pub fn save_store(store: &AnyStore, path: &Path) -> Result<(), DiskIndexError> {
 
 /// Reconstruct a store from a parsed [`IndexFile`] (which may be a
 /// nested blob inside a larger file). Dense row payloads are
-/// zero-copy; small structural sections are copied; rebuild-on-load
-/// backends rebuild deterministically from their saved config.
+/// zero-copy; small structural sections are copied; the forest
+/// rebuilds deterministically from its saved config.
 pub fn store_from_file(file: &IndexFile) -> Result<AnyStore, DiskIndexError> {
-    let meta = decode_meta(file.section_bytes(section::STORE_META)?)?;
     let StoreMeta {
         config,
         dim,
         n_rows,
-    } = meta;
-    if file.has_section(section::RAW_ROWS) {
-        // Rebuild-on-load path (the forest): deterministic
-        // construction from the original-order rows and the saved
-        // build config.
-        let raw = file.section_slice::<f32>(section::RAW_ROWS)?;
-        if Some(raw.len()) != n_rows.checked_mul(dim) {
-            return Err(DiskIndexError::BadHeader("row section shape mismatch"));
-        }
-        return Ok(config.build(dim, raw.to_vec()));
-    }
+    } = decode_meta(file.section_bytes(section::STORE_META)?)?;
     match config {
         StoreConfig::Exact { precision } => {
-            let rows = rows_from_file(file, precision, dim, n_rows)?;
+            let rows = RowStorage::read_sections(file, precision, dim, n_rows)?;
             Ok(AnyStore::Exact(ExactStore::from_storage(dim, rows)))
         }
+        StoreConfig::RpForest { config } => {
+            let rows = file.section_slice::<f32>(section::EXACT_ROWS)?;
+            if Some(rows.len()) != n_rows.checked_mul(dim) {
+                return Err(DiskIndexError::BadHeader("row section shape mismatch"));
+            }
+            Ok(AnyStore::Forest(RpForest::build(
+                dim,
+                rows.to_vec(),
+                config,
+            )))
+        }
         StoreConfig::Ivf { config, precision } => {
-            let rows = rows_from_file(file, precision, dim, n_rows)?;
+            let rows = RowStorage::read_sections(file, precision, dim, n_rows)?;
             let centroids = file.section_slice::<f32>(section::IVF_CENTROIDS)?.to_vec();
             if centroids.len() % dim != 0 {
                 return Err(DiskIndexError::BadHeader("centroid section shape mismatch"));
@@ -1130,9 +1003,6 @@ pub fn store_from_file(file: &IndexFile) -> Result<AnyStore, DiskIndexError> {
                 dim, rows, centroids, lists, config,
             )))
         }
-        StoreConfig::RpForest { .. } => Err(DiskIndexError::MissingSection {
-            kind: section::RAW_ROWS,
-        }),
     }
 }
 
@@ -1304,11 +1174,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn every_backend_and_precision_round_trips_bit_identically() {
-        let dim = 16;
-        let data = random_data(300, dim, 42);
-        let configs = vec![
+    /// Every backend × precision.
+    fn every_config() -> Vec<StoreConfig> {
+        vec![
             StoreConfig::exact(),
             StoreConfig::exact().with_precision(RowPrecision::F16),
             StoreConfig::exact().with_precision(RowPrecision::Sq8),
@@ -1323,8 +1191,14 @@ mod tests {
             StoreConfig::exact().with_precision(RowPrecision::Pq { m: 8, nbits: 5 }),
             StoreConfig::ivf(IvfConfig::default())
                 .with_precision(RowPrecision::Pq { m: 4, nbits: 8 }),
-        ];
-        for cfg in configs {
+        ]
+    }
+
+    #[test]
+    fn every_backend_and_precision_round_trips_bit_identically() {
+        let dim = 16;
+        let data = random_data(300, dim, 42);
+        for cfg in every_config() {
             let built = cfg.build(dim, data.clone());
             let path = tmp_path(&format!(
                 "rt-{}-{}",
@@ -1341,23 +1215,60 @@ mod tests {
     }
 
     #[test]
+    fn exact_rows_are_one_section_kind_in_every_store() {
+        let dim = 16;
+        let data = random_data(300, dim, 43);
+        for cfg in every_config() {
+            let built = cfg.build(dim, data.clone());
+            let file = IndexFile::from_bytes(encode_store(&built)).unwrap();
+            let label = format!("{} {}", cfg.backend_name(), cfg.precision().label());
+            let tier_kinds = match cfg.precision() {
+                RowPrecision::F32 => vec![],
+                RowPrecision::F16 => vec![section::ROWS_F16],
+                RowPrecision::Sq8 => vec![section::SQ8_CODES, section::SQ8_PARAMS],
+                RowPrecision::Pq { .. } => vec![section::PQ_CODES, section::PQ_CODEBOOKS],
+            };
+            let mut want = vec![section::STORE_META];
+            want.extend(tier_kinds);
+            if built.exact_rows().is_some() {
+                want.push(section::EXACT_ROWS);
+            }
+            if matches!(cfg, StoreConfig::Ivf { .. }) {
+                want.extend([
+                    section::IVF_CENTROIDS,
+                    section::IVF_LIST_OFFSETS,
+                    section::IVF_LIST_IDS,
+                ]);
+            }
+            let got: Vec<u32> = file.sections.iter().map(|d| d.kind).collect();
+            assert_eq!(got, want, "{label}");
+            if let Some(rows) = built.exact_rows() {
+                let payload = file.section_bytes(section::EXACT_ROWS).unwrap();
+                assert_eq!(payload, &le_bytes_f32(rows)[..], "{label}");
+            }
+        }
+    }
+
+    #[test]
     fn load_store_maps_rows_zero_copy_for_dense_backends() {
         let dim = 8;
         let data = random_data(64, dim, 7);
-        let built = StoreConfig::exact()
-            .with_precision(RowPrecision::Sq8)
-            .build(dim, data.clone());
-        let path = tmp_path("zerocopy");
-        save_store(&built, &path).unwrap();
-        let loaded = load_store(&path).unwrap();
-        let AnyStore::Exact(s) = &loaded else {
-            panic!("variant changed");
-        };
-        let RowStorage::Sq8(q) = s.rows() else {
-            panic!("precision changed");
-        };
-        assert!(q.is_mapped(), "sq8 rows should load as mapped views");
-        std::fs::remove_file(&path).unwrap();
+        for cfg in every_config() {
+            let built = cfg.build(dim, data.clone());
+            let path = tmp_path(&format!(
+                "zerocopy-{}-{}",
+                cfg.backend_name(),
+                cfg.precision().label()
+            ));
+            save_store(&built, &path).unwrap();
+            let rows_mapped = match load_store(&path).unwrap() {
+                AnyStore::Exact(s) => s.rows().is_mapped(),
+                AnyStore::Ivf(s) => s.rows().is_mapped(),
+                AnyStore::Forest(_) => true, // rebuilt in RAM by design
+            };
+            assert!(rows_mapped, "{cfg:?} rows should load as mapped views");
+            std::fs::remove_file(&path).unwrap();
+        }
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! The dense scan is memory-bandwidth bound, so the biggest remaining
 //! lever after kernel tuning is *moving fewer bytes per row*.
 //! [`RowStorage`] is a small enum over the supported encodings, and
-//! this module is the only place that knows how each one scores and
-//! whether it re-ranks. A store asks [`RowStorage::scorer`] for a
-//! per-query [`Scorer`], scores the rows it chooses through it, selects
-//! a pool of [`RowStorage::pool_k`] candidates and hands that pool to
+//! this module is the only place that knows how each one scores,
+//! whether it re-ranks, and how it is laid out in an index file. A
+//! store asks [`RowStorage::scorer`] for a per-query [`Scorer`], scores
+//! the rows it chooses through it, selects a pool of
+//! [`RowStorage::pool_k`] candidates and hands that pool to
 //! [`RowStorage::rerank`]:
 //!
 //! * [`RowPrecision::F32`] — rows as plain `f32` (4 B/element). Scores
@@ -47,7 +48,7 @@
 //!   at all. The [`Scorer`] builds that table once per query. Like
 //!   SQ8, the quantized scan ranks a `k × `[`RERANK_FACTOR`] candidate
 //!   pool that is re-ranked **exactly** against the f32 source rows;
-//!   a loaded index maps those rows from its `PQ_RERANK_ROWS` section,
+//!   a loaded index maps those rows from its `EXACT_ROWS` section,
 //!   so the steady-state hot set is codes + codebooks only. Codebook
 //!   training is seeded per-subspace Lloyd k-means ([`PQ_TRAIN_SEED`],
 //!   deterministic for a given input).
@@ -60,9 +61,15 @@
 //!
 //! Buffers are [`Buf`]s: either owned `Vec`s (built in RAM) or
 //! zero-copy [`MappedSlice`] views into an mmapped index file. The
-//! scoring paths see `&[T]` either way.
+//! scoring paths see `&[T]` either way. `RowStorage::write_sections`
+//! and `RowStorage::read_sections` lay each tier out in an index
+//! file: its scan structures under their own section kinds, and the
+//! exact f32 rows of every tier that keeps them under the one
+//! `EXACT_ROWS` kind (`crate::diskindex::section`).
 
-use crate::diskindex::MappedSlice;
+use crate::diskindex::{
+    le_bytes_f32, le_bytes_u16, section, DiskIndexError, IndexFile, IndexFileBuilder, MappedSlice,
+};
 use crate::{Hit, TopKSelector};
 use seesaw_linalg::{
     dot, dot_f16, dot_pq, dot_sq8, encode_f16, gemv1_f16_into, gemv1_into, gemv1_sq8_into,
@@ -76,8 +83,9 @@ use std::ops::{Deref, Range};
 /// that pool against the f32 source rows ([`RowStorage::rerank`]).
 /// Generous enough that quantization error almost never evicts a true
 /// top-k row from the pool, small enough that rerank cost stays
-/// negligible next to the scan. `SSAWIDX1` files carry it in a reserved
-/// `STORE_META` slot, and the loader rejects any other value there.
+/// negligible next to the scan. An index file does not record it: a
+/// loaded store pools exactly as many candidates as the store it was
+/// saved from.
 pub const RERANK_FACTOR: usize = 4;
 
 /// Lloyd iterations for PQ codebook training. Sub-vector k-means
@@ -240,37 +248,6 @@ pub struct Sq8Rows {
     source: Buf<f32>,
 }
 
-impl Sq8Rows {
-    /// Assemble from pre-built parts (the mmap loader).
-    pub fn from_parts(codes: Buf<u8>, params: Buf<f32>, source: Buf<f32>) -> Self {
-        Self {
-            codes,
-            params,
-            source,
-        }
-    }
-
-    /// The `u8` code matrix (row-major).
-    pub fn codes(&self) -> &[u8] {
-        &self.codes
-    }
-
-    /// Interleaved per-row `(scale, offset)` pairs.
-    pub fn params(&self) -> &[f32] {
-        &self.params
-    }
-
-    /// Exact f32 source rows (row-major).
-    pub fn source(&self) -> &[f32] {
-        &self.source
-    }
-
-    /// Whether every buffer is an mmap-backed view.
-    pub fn is_mapped(&self) -> bool {
-        self.codes.is_mapped() && self.params.is_mapped() && self.source.is_mapped()
-    }
-}
-
 /// Encode one row-major buffer as SQ8 codes + params.
 fn encode_sq8(dim: usize, data: &[f32]) -> (Vec<u8>, Vec<f32>) {
     debug_assert!(dim > 0 || data.is_empty());
@@ -333,83 +310,6 @@ pub struct PqRows {
     codebooks: Buf<f32>,
     /// Exact f32 source rows, row-major — the rerank tier.
     source: Buf<f32>,
-}
-
-impl PqRows {
-    /// Assemble from pre-built parts (the mmap loader).
-    ///
-    /// # Panics
-    /// Panics when the shapes are inconsistent: `m == 0`, `nbits`
-    /// outside `1..=8`, `codes.len()` not a multiple of `m`,
-    /// `codebooks.len() != m * 2^nbits * dsub`, or
-    /// `source.len() != rows × m × dsub`.
-    pub fn from_parts(
-        m: usize,
-        nbits: u32,
-        dsub: usize,
-        codes: Buf<u8>,
-        codebooks: Buf<f32>,
-        source: Buf<f32>,
-    ) -> Self {
-        assert!(m > 0, "pq subspace count must be positive");
-        assert!((1..=8).contains(&nbits), "pq nbits out of range (1..=8)");
-        assert_eq!(codes.len() % m, 0, "pq code matrix is not a multiple of m");
-        let k = 1usize << nbits;
-        assert_eq!(codebooks.len(), m * k * dsub, "pq codebook shape mismatch");
-        assert_eq!(
-            source.len(),
-            codes.len() * dsub,
-            "pq source row shape mismatch"
-        );
-        Self {
-            m,
-            nbits,
-            dsub,
-            codes,
-            codebooks,
-            source,
-        }
-    }
-
-    /// Subspace count (codes per row).
-    pub fn m(&self) -> usize {
-        self.m
-    }
-
-    /// Bits per code.
-    pub fn nbits(&self) -> u32 {
-        self.nbits
-    }
-
-    /// Centroids per codebook (`2^nbits`).
-    pub fn k(&self) -> usize {
-        1usize << self.nbits
-    }
-
-    /// Elements per subspace (`dim / m`).
-    pub fn dsub(&self) -> usize {
-        self.dsub
-    }
-
-    /// The row-major code matrix (`m` bytes per row).
-    pub fn codes(&self) -> &[u8] {
-        &self.codes
-    }
-
-    /// The `m` concatenated row-major `k × dsub` codebooks.
-    pub fn codebooks(&self) -> &[f32] {
-        &self.codebooks
-    }
-
-    /// Exact f32 source rows (row-major).
-    pub fn source(&self) -> &[f32] {
-        &self.source
-    }
-
-    /// Whether every buffer is an mmap-backed view.
-    pub fn is_mapped(&self) -> bool {
-        self.codes.is_mapped() && self.codebooks.is_mapped() && self.source.is_mapped()
-    }
 }
 
 /// Train PQ codebooks and encode one row-major buffer: seeded Lloyd
@@ -680,7 +580,7 @@ impl RowStorage {
         if let RowStorage::Pq(p) = self {
             assert_eq!(dim, p.m * p.dsub, "pq geometry disagrees with dim");
             lut = vec![0.0f32; p.m * PQ_LUT_STRIDE];
-            pq_lut_into(&p.codebooks, p.m, p.k(), query, &mut lut);
+            pq_lut_into(&p.codebooks, p.m, 1 << p.nbits, query, &mut lut);
         }
         Scorer {
             rows: self,
@@ -734,6 +634,91 @@ impl RowStorage {
             RowStorage::F16(_) => None,
         }
     }
+
+    /// Append this tier's index-file sections to `b`: its scan
+    /// structures, then its exact f32 rows (when it keeps them) as the
+    /// one `EXACT_ROWS` section.
+    pub(crate) fn write_sections(&self, b: &mut IndexFileBuilder) {
+        match self {
+            RowStorage::F32(_) => {}
+            RowStorage::F16(d) => {
+                b.section(section::ROWS_F16, le_bytes_u16(d));
+            }
+            RowStorage::Sq8(q) => {
+                b.section(section::SQ8_CODES, q.codes.to_vec());
+                b.section(section::SQ8_PARAMS, le_bytes_f32(&q.params));
+            }
+            RowStorage::Pq(p) => {
+                b.section(section::PQ_CODES, p.codes.to_vec());
+                b.section(section::PQ_CODEBOOKS, le_bytes_f32(&p.codebooks));
+            }
+        }
+        if let Some(rows) = self.exact_rows() {
+            b.section(section::EXACT_ROWS, le_bytes_f32(rows));
+        }
+    }
+
+    /// Read back an `n_rows × dim` tier that [`Self::write_sections`]
+    /// wrote, checking every section's shape. Every buffer stays a
+    /// mapped view into `file`, never a copy: the SQ8 and PQ exact rows
+    /// are demand-paged, so a query faults in only the pool it
+    /// re-ranks (see [`Self::resident_bytes`]).
+    pub(crate) fn read_sections(
+        file: &IndexFile,
+        precision: RowPrecision,
+        dim: usize,
+        n_rows: usize,
+    ) -> Result<Self, DiskIndexError> {
+        let want = n_rows
+            .checked_mul(dim)
+            .ok_or(DiskIndexError::BadHeader("row count overflows"))?;
+        let exact = || file.section_slice(section::EXACT_ROWS).map(Buf::from);
+        let rows = match precision {
+            RowPrecision::F32 => RowStorage::F32(exact()?),
+            RowPrecision::F16 => RowStorage::F16(file.section_slice(section::ROWS_F16)?.into()),
+            RowPrecision::Sq8 => {
+                let codes = file.section_slice::<u8>(section::SQ8_CODES)?;
+                let params = file.section_slice::<f32>(section::SQ8_PARAMS)?;
+                if Some(params.len()) != n_rows.checked_mul(2) {
+                    return Err(DiskIndexError::BadHeader("sq8 section shape mismatch"));
+                }
+                RowStorage::Sq8(Sq8Rows {
+                    codes: codes.into(),
+                    params: params.into(),
+                    source: exact()?,
+                })
+            }
+            RowPrecision::Pq { m, nbits } => {
+                // STORE_META validated m | dim, m > 0, 1 ≤ nbits ≤ 8; the
+                // section sizes can still overflow on a crafted dim.
+                let dsub = dim / m;
+                let (n_codes, n_codebook) = n_rows
+                    .checked_mul(m)
+                    .zip(
+                        m.checked_mul(1 << nbits)
+                            .and_then(|mk| mk.checked_mul(dsub)),
+                    )
+                    .ok_or(DiskIndexError::BadHeader("pq geometry overflows"))?;
+                let codes = file.section_slice::<u8>(section::PQ_CODES)?;
+                let codebooks = file.section_slice::<f32>(section::PQ_CODEBOOKS)?;
+                if codes.len() != n_codes || codebooks.len() != n_codebook {
+                    return Err(DiskIndexError::BadHeader("pq section shape mismatch"));
+                }
+                RowStorage::Pq(PqRows {
+                    m,
+                    nbits,
+                    dsub,
+                    codes: codes.into(),
+                    codebooks: codebooks.into(),
+                    source: exact()?,
+                })
+            }
+        };
+        if rows.len() != want || rows.exact_rows().is_some_and(|r| r.len() != want) {
+            return Err(DiskIndexError::BadHeader("row section shape mismatch"));
+        }
+        Ok(rows)
+    }
 }
 
 #[cfg(test)]
@@ -756,6 +741,20 @@ impl RowStorage {
             }
             RowStorage::Sq8(q) => out.copy_from_slice(&q.source[i..i + dim]),
             RowStorage::Pq(p) => out.copy_from_slice(&p.source[i..i + dim]),
+        }
+    }
+
+    /// Whether every buffer is a mapped view into an index file.
+    pub(crate) fn is_mapped(&self) -> bool {
+        match self {
+            RowStorage::F32(d) => d.is_mapped(),
+            RowStorage::F16(d) => d.is_mapped(),
+            RowStorage::Sq8(q) => {
+                q.codes.is_mapped() && q.params.is_mapped() && q.source.is_mapped()
+            }
+            RowStorage::Pq(p) => {
+                p.codes.is_mapped() && p.codebooks.is_mapped() && p.source.is_mapped()
+            }
         }
     }
 }
@@ -985,14 +984,14 @@ mod tests {
             panic!("wrong variant");
         };
         // Constant rows: scale 0, offset = the constant.
-        assert_eq!(q.params()[0], 0.0);
-        assert_eq!(q.params()[1], 0.5);
-        assert_eq!(&q.codes()[0..4], &[0; 4]);
-        assert_eq!(q.params()[2], 0.0);
-        assert_eq!(q.params()[3], 0.0);
+        assert_eq!(q.params[0], 0.0);
+        assert_eq!(q.params[1], 0.5);
+        assert_eq!(&q.codes[0..4], &[0; 4]);
+        assert_eq!(q.params[2], 0.0);
+        assert_eq!(q.params[3], 0.0);
         // NaN is ignored by the range; finite elements still quantize,
         // the NaN element saturates to code 0.
-        assert!(q.params()[4] > 0.0);
+        assert!(q.params[4] > 0.0);
         let query = [1.0f32, 0.0, 0.0, 0.0];
         // Scores stay finite for the degenerate rows.
         let sc = st.scorer(dim, &query);
@@ -1043,9 +1042,9 @@ mod tests {
         let (RowStorage::Pq(a), RowStorage::Pq(b)) = (&a, &b) else {
             panic!("wrong variant");
         };
-        assert_eq!(a.codes(), b.codes());
-        assert_eq!(a.codebooks().len(), b.codebooks().len());
-        for (x, y) in a.codebooks().iter().zip(b.codebooks()) {
+        assert_eq!(&a.codes[..], &b.codes[..]);
+        assert_eq!(a.codebooks.len(), b.codebooks.len());
+        for (x, y) in a.codebooks.iter().zip(b.codebooks.iter()) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
     }
@@ -1113,7 +1112,7 @@ mod tests {
         let RowStorage::Pq(p) = &st else {
             panic!("wrong variant");
         };
-        assert_eq!(p.codes().len(), n * 2);
-        assert_eq!(p.codebooks().len(), 2 * 256 * 4);
+        assert_eq!(p.codes.len(), n * 2);
+        assert_eq!(p.codebooks.len(), 2 * 256 * 4);
     }
 }
